@@ -1,34 +1,60 @@
-// Sharded, optionally parallel certification.
+// Deterministic certification (§1, §3.3), indexed and sharded.
 //
-// The last-writer index partitions cleanly by item id: every probe and
-// install touches exactly one id, so hash-splitting the tuple and granule
-// spaces across N cert::index_shards makes one delivery's certification a
-// fork-join — each fork worker probes/installs a contiguous shard range,
-// writes its verdict into its own slot, and the verdicts are merged in
-// shard order. Decisions (and therefore abort attribution downstream) are
-// bit-identical to cert::certifier at every (shards, certify_threads)
-// combination, because
+// Fed by the total order, every replica runs the same procedure over the
+// same sequence and reaches the same commit/abort decisions — the property
+// the off-line safety checker verifies.
+//
+// A transaction carries the position of the last delivery it had locally
+// applied when it began (its snapshot). At its own delivery position, it
+// conflicts with any transaction *committed* in between:
+//   * write-write, at tuple granularity (first-committer-wins — the
+//     multi-version engine's rule);
+//   * granule-read vs write: point reads are served from tuple versions
+//     (snapshot reads never abort), but escalated scan reads (granule ids,
+//     §3.3's table-lock escalation) cannot be versioned and conflict with
+//     any committed write inside the granule.
+// Tuple-level reads still travel in the marshaled read set (message sizes
+// match the prototype, §3.3); they are simply never a conflict source.
+//
+// Index: instead of the historical merge scan over up to `history_window`
+// retained write sets (kept as cert/reference_certifier, the decision
+// oracle of the differential tests), certification probes an inverted
+// last-writer index (cert/cert_index.hpp): an element conflicts iff its
+// last committed writer position exceeds the snapshot. One certification
+// is O(|read_set| + |write_set|) hash probes regardless of the window.
+// Decisions are bit-identical to the reference scan; the retained history
+// ring exists only to evict stale index entries as the window slides.
+//
+// Sharding: the last-writer index partitions cleanly by item id — every
+// probe and install touches exactly one id — so hash-splitting the tuple
+// and granule spaces across cert_config::shards cert::index_shards makes
+// one delivery's certification a fork-join: each fork worker
+// probes/installs a contiguous shard range, writes its verdict into its
+// own slot, and the verdicts are merged in shard order. Decisions (and
+// therefore abort attribution downstream) are identical at every
+// (shards, certify_threads) combination, because
 //   * the conservative pre-window rule depends only on global delivery
 //     positions and is applied before any shard is consulted;
 //   * a conflict is the OR of per-shard verdicts over disjoint id sets —
 //     commutative, and merged in a fixed order anyway;
 //   * installs and eviction drains touch disjoint shards, so the parallel
 //     pass reaches the same index contents as a serial one.
-// The differential suite (tests/cert_shard_test.cpp) checks this
-// decision-for-decision against cert::certifier, the way PR 1 checked the
-// index against the reference scan.
+// The differential suites check this decision-for-decision: against the
+// single-shard layout (tests/cert_shard_test.cpp) and against the
+// reference scan (tests/cert_index_test.cpp).
 //
 // With the default cert_config (shards = 1, certify_threads = 1) no pool
-// is created, sets are never copied or partitioned, and behavior —
-// decisions, counters, modeled cost, snapshot bytes — is byte-identical
-// to cert::certifier.
+// is created, sets are never copied or partitioned, and the whole index
+// and eviction ring live in one shard.
 //
 // Modeled cost: certification CPU is charged along the fork-join critical
 // path — cost_fixed, plus cost_per_element times the element count of the
 // worker with the most probes, plus cost_fork_join once per certification
 // when the fork is real (more than one worker). At one worker this
-// degenerates to the certifier's set-linear model, so figure benches can
-// model multi-threaded delivery by just setting cert_config::{shards,
+// degenerates to the set-linear model (cost_fixed + cost_per_element per
+// element of the transaction's own sets — deterministic and
+// window-independent, like the real work), so figure benches can model
+// multi-threaded delivery by just setting cert_config::{shards,
 // certify_threads}.
 //
 // Snapshot/restore use the canonical shard-count-agnostic entry blocks of
@@ -36,16 +62,16 @@
 // back into full position-ordered entries; restore re-partitions by the
 // local shard count. Donor and joiner may therefore disagree on
 // cert_config::shards (recovery state transfer stays valid across
-// heterogeneous tunings), and either end may be a cert::certifier.
+// heterogeneous tunings).
 #ifndef DBSM_CERT_SHARDED_CERTIFIER_HPP
 #define DBSM_CERT_SHARDED_CERTIFIER_HPP
 
 #include <cstdint>
 #include <deque>
+#include <functional>
 #include <memory>
 #include <vector>
 
-#include "cert/certifier.hpp"
 #include "cert/index_shard.hpp"
 #include "cert/rwset.hpp"
 #include "util/byte_buffer.hpp"
@@ -53,6 +79,66 @@
 #include "util/types.hpp"
 
 namespace dbsm::cert {
+
+struct cert_config {
+  /// Committed write-sets retained for conflict checks. A transaction
+  /// whose snapshot predates the window aborts conservatively (identical
+  /// rule — thus identical decisions — at every replica).
+  std::size_t history_window = 50000;
+  /// Modeled CPU cost per set element probed during certification. The
+  /// indexed certifier visits each element of the transaction's own sets
+  /// exactly once, so the modeled cost is a deterministic function of the
+  /// transaction alone — independent of the history window, like the real
+  /// work (the reference scan certifier keeps the historical
+  /// window-proportional model).
+  sim_duration cost_per_element = nanoseconds(60);
+  /// Fixed modeled CPU cost per certification.
+  sim_duration cost_fixed = microseconds(10);
+  /// Evicted write sets whose stale index entries are drained per
+  /// certify_update. Steady state evicts at most one set per delivery,
+  /// so any positive rate bounds the backlog at one set; the default
+  /// keeps headroom. 0 defers cleanup entirely — decisions are unchanged
+  /// (stale entries predate every snapshot that survives the pre-window
+  /// rule) but index memory then grows with every distinct item ever
+  /// written. Larger rates clear an accumulated backlog in fewer
+  /// deliveries.
+  std::size_t evict_drain_per_delivery = 2;
+  /// Hash partitions of the last-writer index (tuple and granule spaces
+  /// both). Decisions are shard-count-invariant; 1 keeps the single-index
+  /// layout.
+  std::size_t shards = 1;
+  /// Fork width of the per-delivery fork-join (the delivery thread
+  /// participates, so 1 runs inline and creates no threads). Meaningful
+  /// only when shards > 1.
+  unsigned certify_threads = 1;
+  /// Modeled fork/join overhead charged once per certification when the
+  /// certifier actually forks (certify_threads > 1 on more than
+  /// one shard) — the fixed price of the parallel term. The per-element
+  /// term then follows the critical path: the fork worker whose shard
+  /// range holds the most probed elements. Calibrated against the
+  /// persistent-pool fork/join price bench_ablation_cert_shards measures
+  /// at probe-light set sizes (2.1-3.6 us across the shard sweep; see
+  /// bench/BENCH_cert_shards.json); tests/cert_shard_test.cpp pins the
+  /// modeled-vs-real ratio. Never charged at the defaults (1 thread), so
+  /// every historical figure and anchor is unaffected.
+  sim_duration cost_fork_join = nanoseconds(2500);
+  /// Fixed modeled cost of a certification *amortized over a delivery
+  /// batch* (gcs batch mode): the first certification of a batch pays the
+  /// full cost_fixed (cache-cold entry into the cert path), the rest pay
+  /// only this — the PR 5 modeled-cost extended with the batching
+  /// amortization term. Decisions are unaffected; only charged CPU is.
+  sim_duration cost_batch_fixed = microseconds(2);
+  /// Optional override of the certifier's id -> shard map, e.g.
+  /// to align certification shards with a data placement (the shard that
+  /// probes a granule is derived from the granule's primary replica, so
+  /// partitioned certification touches index partitions congruent with
+  /// the storage partitioning). Must be a pure deterministic function of
+  /// (id, shard count), identical at every site. Decisions are invariant
+  /// under ANY map — it only re-partitions the index — which is exactly
+  /// what tests/cert_shard_test.cpp-style differentials rely on. Unset
+  /// keeps the built-in splitmix64 layout.
+  std::function<std::size_t(db::item_id id, std::size_t shards)> shard_map;
+};
 
 class sharded_certifier {
  public:
@@ -74,8 +160,14 @@ class sharded_certifier {
   bool certify_read_only(std::uint64_t begin_pos,
                          const std::vector<db::item_id>& read_set) const;
 
+  /// Delivery positions consumed so far (== position of the last update
+  /// transaction processed). New transactions snapshot this value.
   std::uint64_t position() const { return position_; }
+  /// Oldest delivery position still retained in the history window;
+  /// snapshots strictly older than `oldest_retained() - 1` abort
+  /// conservatively.
   std::uint64_t oldest_retained() const { return oldest_retained_; }
+  /// Modeled CPU cost of the most recent certify_* call.
   sim_duration last_cost() const { return last_cost_; }
   std::uint64_t commits() const { return commits_; }
   std::uint64_t aborts() const { return aborts_; }
@@ -83,16 +175,21 @@ class sharded_certifier {
 
   /// Live entries summed over every shard's last-writer index.
   std::size_t index_size() const;
-  /// Queued eviction slices summed over every shard's ring. Note the
-  /// unit: with shards > 1 one evicted write set contributes one slice
-  /// per shard that owns ids of it, so the count is comparable to
-  /// cert::certifier's only at shards == 1.
+  /// Queued eviction slices summed over every shard's ring
+  /// (cert_config::evict_drain_per_delivery). Note the unit: with
+  /// shards > 1 one evicted write set contributes one slice per shard
+  /// that owns ids of it, so the count equals the number of evicted write
+  /// sets only at shards == 1.
   std::size_t evicted_backlog() const;
 
-  /// Serializes the full certification state in the canonical
-  /// shard-count-agnostic format (see cert/index_shard.hpp); restore()
-  /// on a fresh instance — of any shard count, or a cert::certifier —
-  /// reproduces the donor's decisions bit-for-bit.
+  /// Serializes the full certification state — position, retained
+  /// history, undrained eviction backlog — for a membership-recovery
+  /// state transfer, in the canonical shard-count-agnostic format (see
+  /// cert/index_shard.hpp). restore() on a fresh instance of any shard
+  /// count reproduces the donor's decisions bit-for-bit: the last-writer
+  /// index is rebuilt by replaying the serialized write sets in position
+  /// order, which yields the same index contents (including the
+  /// decision-safe stale entries of the eviction backlog).
   void snapshot(util::buffer_writer& w) const;
   void restore(util::buffer_reader& r);
 

@@ -1,18 +1,18 @@
-// Certify→install hand-off of the batched delivery path.
+// Certify→install hand-off of the replica's delivery path.
 //
-// With gcs batch atomic broadcast on (group_config::batch_max > 1), the
-// replica splits one delivery run into two stages: stage 1 probes every
-// transaction of batch n against the sharded certifier back-to-back
+// The replica splits one delivery run into two stages: stage 1 probes
+// every transaction of run n against the sharded certifier back-to-back
 // (decisions, commit log, monitors — all the order-dependent state), and
 // stage 2 installs the certified updates into db/ from a deferred job, so
-// batch n+1's probes run while batch n's installs drain. The hand-off is
-// this bounded FIFO: stage 1 pushes (payload, verdict) pairs in delivery
-// order, stage 2 drains them in the same order, and a full queue forces a
-// synchronous drain (deterministic back-pressure — no work is dropped,
+// run n+1's probes run while run n's installs drain. The hand-off is this
+// bounded FIFO: stage 1 pushes (payload, verdict) pairs in delivery
+// order, stage 2 drains them in the same order — each run's deferred job
+// up to that run's last item — and a full queue forces a synchronous
+// drain of everything (deterministic back-pressure — no work is dropped,
 // reordered, or raced). Commit decisions and the committed sequence are
-// made entirely in stage 1, so they are bit-identical to the serial
-// path's for the same payload stream, whatever the queue does; the
-// tests/batching_test.cpp differential suite holds the two paths to that.
+// made entirely in stage 1, so they do not depend on run boundaries or on
+// what the queue does; the tests/batching_test.cpp differential suite
+// holds batched runs to the per-payload oracle.
 #ifndef DBSM_CORE_PIPELINE_HPP
 #define DBSM_CORE_PIPELINE_HPP
 
@@ -57,8 +57,16 @@ class commit_pipeline {
   /// returns how many were drained. Items pushed by the sink itself are
   /// drained too (the loop re-reads the queue).
   std::size_t drain(const std::function<void(item&)>& sink) {
+    return drain_upto(UINT64_MAX, sink);
+  }
+
+  /// Like drain(), but stops once drained() reaches `upto` (an earlier
+  /// enqueued() value): a run's deferred job installs only up to the last
+  /// item that run queued.
+  std::size_t drain_upto(std::uint64_t upto,
+                         const std::function<void(item&)>& sink) {
     std::size_t n = 0;
-    while (!q_.empty()) {
+    while (!q_.empty() && drained_ < upto) {
       item it = std::move(q_.front());
       q_.pop_front();
       ++n;

@@ -26,7 +26,7 @@ replica::replica(sim::simulator& sim, csrt::cpu_pool& cpu,
       server_(sim, cpu, cfg.server, gen.fork("server")),
       cert_(cfg.cert), rng_(gen.fork("replica")),
       next_local_txn_(first_local_txn), incarnation_floor_(first_local_txn),
-      store_(cfg.placement, env.self()), pipeline_(cfg.pipeline_depth) {}
+      store_(cfg.placement, env.self()), pipeline_(pipeline_depth) {}
 
 util::shared_bytes replica::snapshot(node_id for_site) const {
   util::buffer_writer w;
@@ -95,15 +95,8 @@ bool replica::stores_read_set(
 }
 
 void replica::start() {
-  if (group_.batching()) {
-    group_.set_deliver_batch([this](std::vector<gcs::delivery>&& run) {
-      on_deliver_batch(std::move(run));
-    });
-    return;
-  }
-  group_.set_deliver([this](node_id sender, std::uint64_t seq,
-                            util::shared_bytes payload) {
-    on_deliver(sender, seq, std::move(payload));
+  group_.set_deliver_run([this](std::vector<gcs::delivery>&& run) {
+    on_deliver_run(std::move(run));
   });
 }
 
@@ -230,68 +223,6 @@ std::pair<std::size_t, std::size_t> replica::owned_tuple_split(
   return {owned, total};
 }
 
-void replica::on_deliver(node_id, std::uint64_t global_seq,
-                         util::shared_bytes payload) {
-  if (halted_) return;
-  // Runs as real code in the delivery job: unmarshal and certify against
-  // the sharded last-writer index (O(|read_set| + |write_set|) probes,
-  // forked across shards when configured; decisions identical to the
-  // reference merge scan at every replica and at every shard count).
-  env_.charge(codec_cost(payload->size()));
-  const cert::txn_payload txn = cert::decode_txn(payload);
-
-  if (txn.write_set.empty()) {
-    // Read-only broadcast (read::mode::certified, or a fast-path
-    // fallback). Every site pays delivery + decode, but the decision is
-    // local to the origin: no update-order position, no commit-log entry,
-    // no apply — certification state is untouched by an empty write set.
-    delivered_payload_bytes_ += payload->size();
-    if (txn.origin == env_.self() &&
-        txn_counter(txn.id) > incarnation_floor_) {
-      const bool ok = cert_.certify_read_only(txn.begin_pos, txn.read_set);
-      env_.charge(cert_.last_cost());
-      env_.call_out([this, id = txn.id, ok] {
-        finish_certified_read(id, ok);
-      });
-    }
-    return;
-  }
-
-  const bool commit =
-      cert_.certify_update(txn.begin_pos, txn.read_set, txn.write_set);
-  env_.charge(cert_.last_cost());
-  const std::uint64_t pos = cert_.position();
-  if (commit) commit_log_.push_back(txn.id);
-  if (on_decision_) {
-    on_decision_(txn, pos, commit, commit_log_.size());
-  }
-  // Version the committed prefix for the fast read path: the snapshot at
-  // this delivery's global sequence (pure bookkeeping, gated so the other
-  // modes carry no memory cost).
-  if (cfg_.read.path == read::mode::fast)
-    snapshots_.note_delivery(global_seq, pos, commit_log_.size(),
-                             commit_log_.empty() ? 0 : commit_log_.back());
-
-  // Placement bookkeeping (pure — no modeled time, no randomness, so the
-  // full-placement default stays simulation-identical): account the
-  // delivered payload against what a placement-aware multicast would have
-  // shipped here, and fold committed writes into the granule directory.
-  delivered_payload_bytes_ += payload->size();
-  if (cfg_.placement.interested(env_.self(), txn.write_set))
-    interested_payload_bytes_ += payload->size();
-  if (commit) {
-    store_.apply(txn.write_set, txn.update_bytes);
-    if (on_apply_) {
-      cfg_.placement.slice(txn.write_set, env_.self(), slice_scratch_);
-      on_apply_(txn, pos, slice_scratch_, store_.durable_bytes());
-    }
-  }
-
-  env_.call_out([this, txn = std::move(txn), commit] {
-    install_decision(txn, commit);
-  });
-}
-
 void replica::finish_certified_read(std::uint64_t id, bool ok) {
   if (halted_) return;
   auto it = pending_.find(id);
@@ -320,28 +251,19 @@ void replica::install_decision(const cert::txn_payload& txn, bool commit) {
       }
       if (server_.active(txn.id)) {
         if (commit) {
-          if (cfg_.placement.is_full()) {
-            // Full replication: byte-exact historical path.
-            db::txn_request probe;
-            probe.write_set = txn.write_set;
-            probe.disk_sectors = txn.disk_sectors;
-            applied_update_bytes_ += db::server::disk_write_bytes(probe,
-                                                                  sector);
-            server_.finish_commit(txn.id);
-          } else {
-            // Partial: the origin makes durable only its placement slice
-            // (pro-rated when the workload packed explicit sectors).
-            const auto [owned, total] = owned_tuple_split(txn.write_set);
-            db::txn_request probe;
-            probe.write_set = txn.write_set;
-            probe.disk_sectors = txn.disk_sectors;
-            const std::size_t full_bytes =
-                db::server::disk_write_bytes(probe, sector);
-            const std::size_t bytes =
-                total != 0 ? full_bytes * owned / total : full_bytes;
-            applied_update_bytes_ += bytes;
-            server_.finish_commit_bytes(txn.id, bytes);
-          }
+          // The origin makes durable only its placement slice (pro-rated
+          // when the workload packed explicit sectors; the whole write
+          // set under full placement).
+          const auto [owned, total] = owned_tuple_split(txn.write_set);
+          db::txn_request probe;
+          probe.write_set = txn.write_set;
+          probe.disk_sectors = txn.disk_sectors;
+          const std::size_t full_bytes =
+              db::server::disk_write_bytes(probe, sector);
+          const std::size_t bytes =
+              total != 0 ? full_bytes * owned / total : full_bytes;
+          applied_update_bytes_ += bytes;
+          server_.finish_commit_bytes(txn.id, bytes);
         } else {
           server_.finish_abort(txn.id);
         }
@@ -364,31 +286,25 @@ void replica::install_decision(const cert::txn_payload& txn, bool commit) {
       req.cls = txn.cls;
       req.origin = txn.origin;
       req.read_set = txn.read_set;
-      if (cfg_.placement.is_full()) {
+      cfg_.placement.slice(txn.write_set, env_.self(), slice_scratch_);
+      if (slice_scratch_.empty()) return;  // not in any replica set
+      const auto [owned, total] = owned_tuple_split(txn.write_set);
+      if (owned == total) {
+        // Whole write set stored here (always, under full placement).
         req.write_set = txn.write_set;
         req.update_bytes = txn.update_bytes;
         req.disk_sectors = txn.disk_sectors;
       } else {
-        cfg_.placement.slice(txn.write_set, env_.self(), slice_scratch_);
-        if (slice_scratch_.empty()) return;  // not in any replica set
-        const auto [owned, total] = owned_tuple_split(txn.write_set);
-        if (owned == total) {
-          // Whole write set stored here: apply exactly as full would.
-          req.write_set = txn.write_set;
-          req.update_bytes = txn.update_bytes;
-          req.disk_sectors = txn.disk_sectors;
-        } else {
-          req.write_set = slice_scratch_;
-          req.update_bytes = static_cast<std::uint32_t>(
-              total != 0
-                  ? static_cast<std::uint64_t>(txn.update_bytes) * owned /
-                        total
-                  : txn.update_bytes);
-          req.disk_sectors = static_cast<std::uint16_t>(
-              total != 0 ? static_cast<std::size_t>(txn.disk_sectors) *
-                               owned / total
-                         : txn.disk_sectors);
-        }
+        req.write_set = slice_scratch_;
+        req.update_bytes = static_cast<std::uint32_t>(
+            total != 0
+                ? static_cast<std::uint64_t>(txn.update_bytes) * owned /
+                      total
+                : txn.update_bytes);
+        req.disk_sectors = static_cast<std::uint16_t>(
+            total != 0 ? static_cast<std::size_t>(txn.disk_sectors) *
+                             owned / total
+                       : txn.disk_sectors);
       }
       applied_update_bytes_ += db::server::disk_write_bytes(req, sector);
       server_.apply_remote(req, {});
@@ -396,9 +312,9 @@ void replica::install_decision(const cert::txn_payload& txn, bool commit) {
   }
 }
 
-void replica::drain_installs() {
+void replica::drain_installs(std::uint64_t upto) {
   if (halted_) return;
-  pipeline_.drain([this](commit_pipeline::item& it) {
+  pipeline_.drain_upto(upto, [this](commit_pipeline::item& it) {
     if (it.read_only) {
       finish_certified_read(it.txn.id, it.commit);
     } else {
@@ -407,29 +323,38 @@ void replica::drain_installs() {
   });
 }
 
-void replica::on_deliver_batch(std::vector<gcs::delivery>&& run) {
+void replica::on_deliver_run(std::vector<gcs::delivery>&& run) {
   if (halted_ || run.empty()) return;
-  // Stage 1 — certify the whole run back-to-back against the sharded
-  // index. Per-payload state transitions (decisions, commit log,
-  // observers, placement accounting) are exactly the serial path's, in
-  // the same delivery order — only the charged CPU is amortized: the
-  // fixed unmarshal cost once per run, and every update certification
-  // after the first pays cert_config::cost_batch_fixed instead of
-  // cost_fixed. Certified work is handed to pipeline_ instead of getting
-  // one deferred job each.
-  env_.charge(cfg_.codec_cost_fixed);
+  // Runs as real code in the delivery job. Stage 1 — unmarshal and
+  // certify the whole run back-to-back against the sharded last-writer
+  // index (O(|read_set| + |write_set|) probes, forked across shards when
+  // configured; decisions identical to the reference merge scan at every
+  // replica and at every shard count), recording decisions, commit log,
+  // observers and placement accounting in delivery order. Only the
+  // charged CPU is amortized over the run: the first payload pays the
+  // full codec_cost, later ones only its per-byte share, and every update
+  // certification after the first pays cert_config::cost_batch_fixed
+  // instead of cost_fixed. The first payload's codec_cost is one charge:
+  // split charges round differently under clock drift.
   ++delivery_runs_;
   run_payloads_ += run.size();
+  const std::uint64_t queued_before = pipeline_.enqueued();
+  bool first_payload = true;
   bool first_cert = true;
   for (gcs::delivery& d : run) {
-    env_.charge(codec_cost_bytes(d.payload->size()));
+    env_.charge(first_payload ? codec_cost(d.payload->size())
+                              : codec_cost_bytes(d.payload->size()));
+    first_payload = false;
     cert::txn_payload txn = cert::decode_txn(d.payload);
+    delivered_payload_bytes_ += d.payload->size();
 
     if (txn.write_set.empty()) {
-      // Read-only broadcast: decision local to the origin (see
-      // on_deliver). Its finish keeps its delivery-order slot by queuing
+      // Read-only broadcast (read::mode::certified, or a fast-path
+      // fallback). Every site pays delivery + decode, but the decision is
+      // local to the origin: no update-order position, no commit-log
+      // entry, no apply — certification state is untouched by an empty
+      // write set. Its finish keeps its delivery-order slot by queuing
       // through the pipeline like an install.
-      delivered_payload_bytes_ += d.payload->size();
       if (txn.origin == env_.self() &&
           txn_counter(txn.id) > incarnation_floor_) {
         const bool ok =
@@ -449,10 +374,16 @@ void replica::on_deliver_batch(std::vector<gcs::delivery>&& run) {
     const std::uint64_t pos = cert_.position();
     if (commit) commit_log_.push_back(txn.id);
     if (on_decision_) on_decision_(txn, pos, commit, commit_log_.size());
+    // Version the committed prefix for the fast read path: the snapshot at
+    // this delivery's global sequence (pure bookkeeping, gated so the
+    // other modes carry no memory cost).
     if (cfg_.read.path == read::mode::fast)
       snapshots_.note_delivery(d.global_seq, pos, commit_log_.size(),
                                commit_log_.empty() ? 0 : commit_log_.back());
-    delivered_payload_bytes_ += d.payload->size();
+    // Placement bookkeeping (pure — no modeled time, no randomness):
+    // account the delivered payload against what a placement-aware
+    // multicast would have shipped here, and fold committed writes into
+    // the granule directory.
     if (cfg_.placement.interested(env_.self(), txn.write_set))
       interested_payload_bytes_ += d.payload->size();
     if (commit) {
@@ -467,9 +398,13 @@ void replica::on_deliver_batch(std::vector<gcs::delivery>&& run) {
     if (pipeline_.full()) drain_installs();
     pipeline_.push({std::move(txn), commit, /*read_only=*/false});
   }
-  // Stage 2 — the installs of this run drain in a deferred job, so the
-  // next run's probes (another stage-1 frame) overlap batch n's installs.
-  env_.call_out([this] { drain_installs(); });
+  // Stage 2 — this run's installs drain in a deferred job, so the next
+  // run's probes (another stage-1 frame) overlap them. The job stops at
+  // this run's last item, so each run's installs keep their own slot in
+  // the event schedule (the batch_max = 1 anchors depend on it).
+  const std::uint64_t upto = pipeline_.enqueued();
+  if (upto != queued_before)
+    env_.call_out([this, upto] { drain_installs(upto); });
 }
 
 }  // namespace dbsm::core

@@ -7,12 +7,18 @@
 // release, reply) or abort. Remote path: certified transactions apply
 // with preemption. Read-only transactions certify locally, without
 // multicast, so their latency is unaffected by replication (§5.1).
-// Certification runs on the sharded last-writer index (cert/), so the
-// per-delivery work is O(|read_set| + |write_set|) regardless of the
+//
+// Ordered delivery has one unit: the contiguous run handed up by
+// gcs::group (one payload at the default batch_max, up to batch_max in
+// batch mode). Each run is certified back-to-back (stage 1) and its
+// installs drain from one deferred job through core::commit_pipeline
+// (stage 2); a run of one pays one codec_cost and gets its own install
+// job. Certification runs on the sharded last-writer index (cert/), so
+// the per-delivery work is O(|read_set| + |write_set|) regardless of the
 // retained history window, and with cert_config::{shards,
 // certify_threads} > 1 the probes fork across a persistent worker pool
 // (decisions stay bit-identical at any shard/thread count; the default
-// 1/1 runs inline exactly like cert::certifier).
+// 1/1 runs inline).
 #ifndef DBSM_CORE_REPLICA_HPP
 #define DBSM_CORE_REPLICA_HPP
 
@@ -59,14 +65,13 @@ class replica {
     /// at the gcs uniform watermark, zero broadcasts). Default off keeps
     /// every path bit-identical to the historical behavior.
     read::read_config read;
-
-    /// Bound (in transactions) of the certify→install hand-off queue of
-    /// the batched delivery path (gcs batch_max > 1): when full, the
-    /// install stage drains synchronously before more certifications
-    /// queue behind it — deterministic back-pressure, never dropped or
-    /// reordered work. Irrelevant on the serial path.
-    std::size_t pipeline_depth = 512;
   };
+
+  /// Bound (in transactions) of the certify→install hand-off queue: when
+  /// full, the install stage drains synchronously before more
+  /// certifications queue behind it — deterministic back-pressure, never
+  /// dropped or reordered work.
+  static constexpr std::size_t pipeline_depth = 512;
 
   /// `first_local_txn` seeds the local transaction counter: a replica
   /// rebuilt after a crash continues its predecessor's id space, so
@@ -93,8 +98,8 @@ class replica {
   util::shared_bytes snapshot(node_id for_site) const;
 
   /// Installs a transferred snapshot on a freshly rebuilt replica; the
-  /// joiner then replays forwarded deliveries through on_deliver and
-  /// converges on the donor's exact committed sequence.
+  /// joiner then replays forwarded deliveries (runs of one) and converges
+  /// on the donor's exact committed sequence.
   void install_snapshot(util::shared_bytes blob);
 
   /// Local transaction counter (passed to the successor on restart).
@@ -174,8 +179,8 @@ class replica {
   std::uint64_t ro_broadcasts() const { return ro_broadcasts_; }
   std::uint64_t lease_revocations() const { return lease_.revocations(); }
 
-  // --- batched-delivery probes (zero on the serial path) ---
-  /// Contiguous delivery runs handed to the pipelined path.
+  // --- delivery probes ---
+  /// Contiguous delivery runs handed up by the group.
   std::uint64_t delivery_runs() const { return delivery_runs_; }
   /// Payloads delivered inside those runs (run_payloads / delivery_runs
   /// == the mean run length the amortization actually saw).
@@ -206,22 +211,20 @@ class replica {
 
  private:
   void on_executed(const db::txn_request& req);
-  void on_deliver(node_id sender, std::uint64_t global_seq,
-                  util::shared_bytes payload);
-  /// Batched delivery (gcs batch mode): stage 1 certifies the whole run
-  /// back-to-back with amortized fixed costs, stage 2 drains the installs
+  /// Ordered delivery of one run: stage 1 certifies the whole run
+  /// back-to-back with amortized fixed costs, stage 2 drains its installs
   /// from a deferred job through pipeline_.
-  void on_deliver_batch(std::vector<gcs::delivery>&& run);
-  /// Install stage of one certified update (the body of the serial
-  /// path's deferred job): origin finish/abort with disk accounting, or
-  /// remote apply with the placement slice.
+  void on_deliver_run(std::vector<gcs::delivery>&& run);
+  /// Install stage of one certified update: origin finish/abort with disk
+  /// accounting, or remote apply with the placement slice.
   void install_decision(const cert::txn_payload& txn, bool commit);
   /// Completion of a certified read-only broadcast at its origin.
   void finish_certified_read(std::uint64_t id, bool ok);
-  void drain_installs();
+  /// Installs queued items until pipeline_.drained() reaches `upto`
+  /// (default: the whole queue).
+  void drain_installs(std::uint64_t upto = UINT64_MAX);
   sim_duration codec_cost(std::size_t bytes) const;
-  /// Per-byte share of codec_cost (the batched path charges the fixed
-  /// share once per run).
+  /// Per-byte share of codec_cost (a run charges the fixed share once).
   sim_duration codec_cost_bytes(std::size_t bytes) const;
   /// Lease check for a fast read, with the lazy suspension re-arm: a
   /// suspicion-suspended lease recovers once the uniform watermark has
@@ -271,7 +274,7 @@ class replica {
   std::uint64_t fallback_reads_ = 0;
   std::uint64_t ro_broadcasts_ = 0;
   place::granule_store store_;
-  /// Certify→install hand-off of the batched delivery path.
+  /// Certify→install hand-off of the delivery path.
   commit_pipeline pipeline_;
   /// Reused per-delivery buffer for placement slices.
   std::vector<db::item_id> slice_scratch_;

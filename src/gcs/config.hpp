@@ -101,11 +101,11 @@ struct group_config {
   // --- batch atomic broadcast (off by default) ---
   /// When > 1 the sequencer mints one *batch* assignment record covering
   /// up to this many payloads with consecutive global sequences (closed
-  /// by this size threshold or by batch_delay), delivery hands whole
-  /// contiguous runs to the application in one callback, and the
-  /// stability/watermark ticks skip redundant work between batches. The
-  /// default 1 keeps the per-payload assignment path byte-identical to
-  /// the historical protocol (the seed-7 anchors).
+  /// by this size threshold or by batch_delay). Delivery hands contiguous
+  /// runs of up to this many payloads to the application in one callback.
+  /// The default 1 keeps the per-payload assignment record and delivers
+  /// runs of one, byte-identical to the historical protocol (the seed-7
+  /// anchors).
   std::size_t batch_max = 1;
   /// Age of the oldest pending payload at which a partial batch closes
   /// anyway (the latency bound of batching).

@@ -83,40 +83,17 @@ void group::build_stack(const view& v, std::uint64_t delivered) {
 
   order_ = make_ordering(env_, cfg_);
   if (delivered > 0) order_->start_at(delivered + 1);
-  order_->set_deliver([this](node_id sender, std::uint64_t seq,
-                             util::shared_bytes payload) {
-    // Strip the kind byte; hand the user payload up (and, when donating a
-    // state transfer, forward it to the rejoining site). View-change
-    // backlog delivery comes through here even in batch mode — a batch
-    // consumer gets it as a single-payload run.
-    auto user = std::make_shared<util::bytes>(payload->begin() + 1,
-                                              payload->end());
-    if (recovery_) recovery_->on_local_deliver(sender, seq, user);
-    if (deliver_batch_) {
-      std::vector<delivery> one;
-      one.push_back({sender, seq, std::move(user)});
-      deliver_batch_(std::move(one));
-      return;
+  order_->set_deliver_run([this](std::vector<delivery>&& run) {
+    // Strip the kind byte; hand the user payloads up (and, when donating a
+    // state transfer, forward each to the rejoining site).
+    for (delivery& d : run) {
+      d.payload = std::make_shared<util::bytes>(d.payload->begin() + 1,
+                                                d.payload->end());
+      if (recovery_)
+        recovery_->on_local_deliver(d.sender, d.global_seq, d.payload);
     }
-    if (deliver_) deliver_(sender, seq, std::move(user));
+    if (deliver_run_) deliver_run_(std::move(run));
   });
-  if (cfg_.batch_max > 1) {
-    order_->set_deliver_run([this](std::vector<delivery>&& run) {
-      for (delivery& d : run) {
-        d.payload = std::make_shared<util::bytes>(d.payload->begin() + 1,
-                                                  d.payload->end());
-        if (recovery_)
-          recovery_->on_local_deliver(d.sender, d.global_seq, d.payload);
-      }
-      if (deliver_batch_) {
-        deliver_batch_(std::move(run));
-        return;
-      }
-      if (deliver_)
-        for (delivery& d : run)
-          deliver_(d.sender, d.global_seq, std::move(d.payload));
-    });
-  }
   order_->set_send_assignments([this](util::shared_bytes batch) {
     rmcast_->broadcast(wrap(kind_assignments, batch));
   });
@@ -182,15 +159,10 @@ void group::wire_recovery() {
   };
   rh.replay = [this](node_id sender, std::uint64_t seq,
                      util::shared_bytes payload) {
-    // A batch consumer gets each replayed delivery as a single-payload
-    // run, same as view-change backlog delivery.
-    if (deliver_batch_) {
-      std::vector<delivery> one;
-      one.push_back({sender, seq, std::move(payload)});
-      deliver_batch_(std::move(one));
-      return;
-    }
-    if (deliver_) deliver_(sender, seq, std::move(payload));
+    // Each replayed delivery is a run of one, like view-change backlog.
+    std::vector<delivery> run;
+    run.push_back({sender, seq, std::move(payload)});
+    if (deliver_run_) deliver_run_(std::move(run));
   };
   rh.delivered = [this] { return order_->delivered(); };
   rh.is_coordinator = [this] {
@@ -405,18 +377,17 @@ void group::stability_tick() {
   stability_->set_local_prefixes(rmcast_->prefixes());
   // Snapshot (delivered, prefixes) for the uniform watermark: once a
   // future stability round covers these prefixes at every member, the
-  // deliveries counted here are agreed. In batch mode the tick is
-  // amortized over batches: a sample that cannot move the watermark —
-  // delivery hasn't advanced past the watermark, or past the previous
-  // sample (which carries lower-or-equal prefixes, i.e. covers first) —
-  // is skipped. Gated on batch_max so the default ring stays
-  // byte-identical to the historical behavior.
+  // deliveries counted here are agreed. A sample that cannot move the
+  // watermark — delivery hasn't advanced past the watermark, or past the
+  // previous sample (which carries lower-or-equal prefixes, i.e. covers
+  // first) — is skipped. Skipping never changes the watermark: such a
+  // sample never raises uniform_, and it never blocks the ring ahead of
+  // a sample that could, because prefixes only grow within a view.
   const std::uint64_t delivered = order_->delivered();
   const bool redundant =
-      cfg_.batch_max > 1 &&
-      (delivered <= uniform_ ||
-       (!uniform_ring_.empty() &&
-        uniform_ring_.back().delivered == delivered));
+      delivered <= uniform_ ||
+      (!uniform_ring_.empty() &&
+       uniform_ring_.back().delivered == delivered);
   if (!redundant)
     uniform_ring_.push_back({delivered, rmcast_->prefixes()});
   const stab_msg gossip =

@@ -27,22 +27,19 @@ namespace dbsm::gcs {
 
 class group {
  public:
-  /// Totally ordered delivery of an application payload.
-  using deliver_fn = std::function<void(node_id sender,
-                                        std::uint64_t global_seq,
-                                        util::shared_bytes payload)>;
-  /// Totally ordered delivery of a contiguous run of payloads in one
-  /// callback (batch mode, cfg.batch_max > 1): the consumer can amortize
-  /// per-delivery fixed costs over the run and pipeline its stages. Run
-  /// boundaries are a local timing artifact — per-payload order and state
-  /// transitions are identical to deliver_fn's.
-  using deliver_batch_fn = std::function<void(std::vector<delivery>&&)>;
+  /// Totally ordered delivery of a contiguous run of application payloads
+  /// in one callback — the only delivery unit. A run holds at most
+  /// cfg.batch_max payloads (one at the default), so the consumer can
+  /// amortize per-delivery fixed costs over it and pipeline its stages.
+  /// Run boundaries are a local timing artifact: per-payload order and
+  /// state transitions do not depend on them.
+  using deliver_run_fn = std::function<void(std::vector<delivery>&&)>;
   using view_fn = std::function<void(const view&)>;
 
   /// Application-state marshaling for membership recovery (wired by the
   /// cluster to the replica): the donor side serializes its state, the
   /// joiner side installs a transferred one. Replayed deliveries go
-  /// through the normal deliver callback.
+  /// through the run callback as runs of one.
   struct state_transfer_hooks {
     /// Marshals donor state for `joiner` — under partial replication the
     /// replica filters the database slice by the joiner's placement, so
@@ -57,13 +54,9 @@ class group {
   group(const group&) = delete;
   group& operator=(const group&) = delete;
 
-  void set_deliver(deliver_fn fn) { deliver_ = std::move(fn); }
-  /// Batch-mode consumer; delivery then arrives as contiguous runs (view-
-  /// change backlog replays arrive as single-payload runs). Meaningful
-  /// only with cfg.batch_max > 1 — check batching() before wiring.
-  void set_deliver_batch(deliver_batch_fn fn) {
-    deliver_batch_ = std::move(fn);
-  }
+  /// The delivery consumer. View-change backlog delivery and recovery
+  /// replay arrive as runs of one.
+  void set_deliver_run(deliver_run_fn fn) { deliver_run_ = std::move(fn); }
   void set_view_handler(view_fn fn) { view_cb_ = std::move(fn); }
   /// Requires cfg.enable_recovery; call before start()/start_joining().
   void set_state_transfer(state_transfer_hooks h) { xfer_ = std::move(h); }
@@ -109,8 +102,6 @@ class group {
   /// The running total-order protocol (probe access for tests/monitors).
   const ordering& order_protocol() const { return *order_; }
   node_id self() const { return env_.self(); }
-  /// Batch atomic broadcast configured (cfg.batch_max > 1)?
-  bool batching() const { return cfg_.batch_max > 1; }
 
   // --- probes ---
   const reliable_mcast::stats& rmcast_stats() const;
@@ -175,8 +166,7 @@ class group {
 
   csrt::env& env_;
   group_config cfg_;
-  deliver_fn deliver_;
-  deliver_batch_fn deliver_batch_;
+  deliver_run_fn deliver_run_;
   view_fn view_cb_;
   view_fn joined_cb_;
   std::function<void()> excluded_cb_;

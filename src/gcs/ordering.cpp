@@ -1,6 +1,7 @@
 #include "gcs/ordering.hpp"
 
 #include <algorithm>
+#include <utility>
 
 #include "gcs/sequencer.hpp"
 #include "gcs/token_order.hpp"
@@ -121,41 +122,35 @@ void ordering::on_assignment_batch(const util::shared_bytes& raw) {
 
 void ordering::try_deliver() {
   if (halted_) return;
-  if (deliver_run_) {
-    // Batch mode: hand the whole contiguous deliverable run out in one
-    // callback. State transitions per payload are identical to the
-    // per-payload loop below, so decisions downstream cannot depend on
-    // where run boundaries fall (they differ per site with arrival
-    // timing; only amortized CPU does).
-    std::vector<delivery> run;
-    auto it = order_.find(next_deliver_);
-    while (it != order_.end()) {
-      auto mit = complete_.find(it->second);
-      if (mit == complete_.end()) break;  // payload not yet received
-      const msg_key key = it->second;
-      pending_msg msg = std::move(mit->second);
-      complete_.erase(mit);
-      order_.erase(it);
-      assigned_.erase(key);
-      run.push_back({key.first, next_deliver_++, std::move(msg.payload)});
-      it = order_.find(next_deliver_);
-    }
-    if (!run.empty()) deliver_run_(std::move(run));
-    return;
-  }
+  // A run is flushed each time it reaches batch_max payloads, so at the
+  // default (1) every payload reaches the application before the next one
+  // is looked up. State transitions per payload do not depend on where
+  // run boundaries fall (they differ per site with arrival timing); only
+  // the consumer's amortized CPU does.
+  std::vector<delivery> run;
   auto it = order_.find(next_deliver_);
   while (it != order_.end()) {
     auto mit = complete_.find(it->second);
-    if (mit == complete_.end()) return;  // payload not yet received
+    if (mit == complete_.end()) break;  // payload not yet received
     const msg_key key = it->second;
     pending_msg msg = std::move(mit->second);
     complete_.erase(mit);
     order_.erase(it);
     assigned_.erase(key);
-    const std::uint64_t seq = next_deliver_++;
-    if (deliver_) deliver_(key.first, seq, std::move(msg.payload));
+    run.push_back({key.first, next_deliver_++, std::move(msg.payload)});
+    if (run.size() >= cfg_.batch_max) {
+      std::vector<delivery> full = std::exchange(run, {});
+      if (deliver_run_) deliver_run_(std::move(full));
+    }
     it = order_.find(next_deliver_);
   }
+  if (!run.empty() && deliver_run_) deliver_run_(std::move(run));
+}
+
+void ordering::deliver_one(node_id sender, util::shared_bytes payload) {
+  std::vector<delivery> run;
+  run.push_back({sender, next_deliver_++, std::move(payload)});
+  if (deliver_run_) deliver_run_(std::move(run));
 }
 
 void ordering::install_view(const std::vector<node_id>& old_members,
@@ -200,8 +195,7 @@ void ordering::install_view(const std::vector<node_id>& old_members,
       assigned_.erase(key);
       last_assigned = std::max(last_assigned, it->first);
       it = order_.erase(it);
-      const std::uint64_t seq = next_deliver_++;
-      if (deliver_) deliver_(key.first, seq, std::move(msg.payload));
+      deliver_one(key.first, std::move(msg.payload));
     } else {
       // Orphan: assigned by a crashed minter to a message nobody holds.
       last_assigned = std::max(last_assigned, it->first);
@@ -217,8 +211,7 @@ void ordering::install_view(const std::vector<node_id>& old_members,
       const msg_key key = it->first;
       pending_msg msg = std::move(it->second);
       it = complete_.erase(it);
-      const std::uint64_t seq = next_deliver_++;
-      if (deliver_) deliver_(key.first, seq, std::move(msg.payload));
+      deliver_one(key.first, std::move(msg.payload));
     } else {
       ++it;
     }

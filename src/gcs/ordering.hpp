@@ -62,7 +62,7 @@ struct assignment_batch {
 util::shared_bytes encode_assignment_batch(const assignment_batch& b);
 assignment_batch decode_assignment_batch(const util::shared_bytes& raw);
 
-/// One totally ordered delivery, as handed to a batch (run) consumer.
+/// One totally ordered delivery; the application receives them in runs.
 struct delivery {
   node_id sender = 0;
   std::uint64_t global_seq = 0;
@@ -71,13 +71,9 @@ struct delivery {
 
 class ordering {
  public:
-  /// Final, totally ordered delivery to the application.
-  using deliver_fn = std::function<void(node_id sender,
-                                        std::uint64_t global_seq,
-                                        util::shared_bytes payload)>;
-  /// Contiguous run of totally ordered deliveries, handed out in one
-  /// callback (set only in batch mode; try_deliver then batches instead of
-  /// calling deliver_ per payload).
+  /// Final, totally ordered delivery to the application: a contiguous
+  /// run of at most group_config::batch_max payloads (one payload at the
+  /// default), in global-sequence order.
   using deliver_run_fn = std::function<void(std::vector<delivery>&&)>;
   /// Used by the minting site to disseminate assignment records (wired to
   /// the group facade, which wraps and reliably multicasts them).
@@ -100,10 +96,9 @@ class ordering {
   /// sequence runs on across the merge while the streams restart).
   void start_at(std::uint64_t next);
 
-  void set_deliver(deliver_fn fn) { deliver_ = std::move(fn); }
-  /// Batch-mode delivery: contiguous runs go through `fn` in one call
-  /// instead of per-payload deliver_ (which install_view backlog delivery
-  /// still uses). Leave unset for the per-payload path.
+  /// The single delivery callback. try_deliver hands out runs of up to
+  /// batch_max payloads; install_view backlog delivery hands out runs of
+  /// one.
   void set_deliver_run(deliver_run_fn fn) { deliver_run_ = std::move(fn); }
   void set_send_assignments(send_assignments_fn fn) {
     send_assignments_ = std::move(fn);
@@ -197,10 +192,11 @@ class ordering {
   virtual void post_install(const std::vector<node_id>& new_members) = 0;
 
   void try_deliver();
+  /// Hands one payload out as a run of one (view-change backlog).
+  void deliver_one(node_id sender, util::shared_bytes payload);
 
   csrt::env& env_;
   const group_config cfg_;
-  deliver_fn deliver_;
   deliver_run_fn deliver_run_;
   send_assignments_fn send_assignments_;
   send_assignments_fn send_batch_;

@@ -2,7 +2,7 @@
 // codec, the certify→install hand-off queue, and the differential
 // batching-equivalence suite — the batched/amortized certification path
 // must produce byte-identical decisions and committed sequences to the
-// serial cert::certifier oracle at every batch_max × shards ×
+// serial cert::reference_certifier oracle at every batch_max × shards ×
 // certify_threads grid point, on randomized, TPC-C-shaped, and KV
 // streams. Batching off (batch_max = 1) is held to the pre-batching
 // anchors; batching on is held to the invariant monitors, the §5.3
@@ -15,7 +15,7 @@
 #include <string>
 #include <vector>
 
-#include "cert/certifier.hpp"
+#include "cert/reference_certifier.hpp"
 #include "cert/sharded_certifier.hpp"
 #include "core/experiment.hpp"
 #include "core/pipeline.hpp"
@@ -158,10 +158,10 @@ TEST(commit_pipeline, probes_track_enqueued_drained_high_water) {
 // term amortized after a run's first probe, and installs drain through
 // the commit_pipeline a stage behind. Neither may move a decision or a
 // committed id. This harness feeds one recorded request stream through
-// (a) the serial cert::certifier oracle and (b) the batched pipeline at
-// a (batch_max, shards, threads) grid point, and asserts the decision
-// sequence, the stage-1 commit log, and the stage-2 install sequence are
-// byte-identical.
+// (a) the serial cert::reference_certifier oracle and (b) the batched
+// pipeline at a (batch_max, shards, threads) grid point, and asserts the
+// decision sequence, the stage-1 commit log, and the stage-2 install
+// sequence are byte-identical.
 
 struct request {
   std::uint64_t id = 0;
@@ -195,10 +195,11 @@ struct path_trace {
   std::vector<std::uint64_t> installed;   // ids drained from the pipeline
 };
 
-/// The serial path: one certifier, per-payload delivery, installs inline.
+/// The serial path: the reference scan, per-payload delivery, installs
+/// inline.
 path_trace run_serial(const std::vector<request>& stream,
                       const cert::cert_config& cfg) {
-  cert::certifier oracle(cfg);
+  cert::reference_certifier oracle(cfg);
   path_trace t;
   for (const request& r : stream) {
     const bool ok =
@@ -218,7 +219,7 @@ path_trace run_serial(const std::vector<request>& stream,
 /// `batch_max` payloads; stage 1 certifies back-to-back (fixed term
 /// amortized after the run's first probe) and pushes certified updates
 /// into the bounded hand-off queue; stage 2 drains installs after each
-/// run — exactly the replica::on_deliver_batch contract.
+/// run — exactly the replica::on_deliver_run contract.
 path_trace run_batched(const std::vector<request>& stream,
                        cert::cert_config cfg, const batch_grid_point& p,
                        std::size_t pipeline_capacity) {
@@ -417,7 +418,7 @@ std::uint64_t fnv1a(const std::vector<std::uint64_t>& log) {
 // Same anchors as tests/read_path_test.cpp (recorded on the PR 6 tree,
 // re-verified every PR since): the default TPC-C campaign with
 // batch_max = 1 set *explicitly* must not move by a single commit, and
-// the serial path must hand out zero delivery runs.
+// every delivery run must hold exactly one payload.
 TEST(batching_disabled, matches_pre_batching_anchors) {
   struct anchor {
     const char* scenario;
@@ -450,10 +451,8 @@ TEST(batching_disabled, matches_pre_batching_anchors) {
     EXPECT_EQ(r.commit_logs[0].size(), a.log0_len) << a.scenario;
     EXPECT_EQ(fnv1a(r.commit_logs[0]), a.log0_hash) << a.scenario;
     EXPECT_TRUE(r.checks.ok) << r.checks.summary();
-    for (const core::site_report& s : r.sites) {
-      EXPECT_EQ(s.delivery_runs, 0u) << a.scenario;
-      EXPECT_EQ(s.pipeline_high_water, 0u) << a.scenario;
-    }
+    for (const core::site_report& s : r.sites)
+      EXPECT_EQ(s.run_payloads, s.delivery_runs) << a.scenario;
   }
 }
 

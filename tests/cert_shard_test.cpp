@@ -1,10 +1,11 @@
 // Shard-count invariance of the sharded certifier: at every
-// (shards, certify_threads) combination the decisions must match
-// cert::certifier transaction-for-transaction — the same differential
-// discipline PR 1 used for index-vs-scan, extended over the partitioned
-// parallel path. Covers randomized mixes, TPC-C-shaped sets, KV
-// scan-escalation sets, the read-only path, window expiry, and the
-// canonical snapshot format (byte-identical at 1 shard / 1 thread).
+// (shards, certify_threads) combination the decisions must match the
+// reference merge scan (cert::reference_certifier) transaction-for-
+// transaction, and the certification state must track the single-shard
+// layout — the same differential discipline PR 1 used for index-vs-scan,
+// extended over the partitioned parallel path. Covers randomized mixes,
+// TPC-C-shaped sets, KV scan-escalation sets, the read-only path, window
+// expiry, and the canonical snapshot format.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -12,7 +13,7 @@
 #include <cstdint>
 #include <vector>
 
-#include "cert/certifier.hpp"
+#include "cert/reference_certifier.hpp"
 #include "cert/sharded_certifier.hpp"
 #include "db/item.hpp"
 #include "tpcc/workload.hpp"
@@ -45,15 +46,18 @@ cert_config with_sharding(cert_config cfg, const grid_point& p) {
   return cfg;
 }
 
-/// Drives the oracle and one sharded instance through the same randomized
-/// transaction stream and asserts decision-for-decision agreement.
+/// Drives the reference oracle, a single-shard instance and one sharded
+/// instance through the same randomized transaction stream: decisions
+/// must agree with the oracle, and certification state with the
+/// single-shard layout.
 void run_differential(const grid_point& p, std::uint64_t seed, int steps,
                       std::uint64_t id_space, double granule_read_p,
                       double granule_write_p, std::uint64_t max_age,
                       std::size_t window) {
   cert_config cfg;
   cfg.history_window = window;
-  certifier oracle(cfg);
+  reference_certifier oracle(cfg);
+  sharded_certifier single(cfg);
   sharded_certifier sharded(with_sharding(cfg, p));
   util::rng g(seed);
 
@@ -74,8 +78,10 @@ void run_differential(const grid_point& p, std::uint64_t seed, int steps,
     normalize(rs);
 
     if (g.bernoulli(0.25)) {
-      ASSERT_EQ(sharded.certify_read_only(begin, rs),
-                oracle.certify_read_only(begin, rs))
+      const bool expect = oracle.certify_read_only(begin, rs);
+      ASSERT_EQ(single.certify_read_only(begin, rs), expect)
+          << "read-only: single shard, seed " << seed << " step " << i;
+      ASSERT_EQ(sharded.certify_read_only(begin, rs), expect)
           << "read-only: shards " << p.shards << " threads " << p.threads
           << " seed " << seed << " step " << i;
       continue;
@@ -91,8 +97,11 @@ void run_differential(const grid_point& p, std::uint64_t seed, int steps,
     }
     normalize(ws);
 
-    ASSERT_EQ(sharded.certify_update(begin, rs, ws),
-              oracle.certify_update(begin, rs, ws))
+    const bool expect = oracle.certify_update(begin, rs, ws);
+    ASSERT_EQ(single.certify_update(begin, rs, ws), expect)
+        << "update: single shard, seed " << seed << " step " << i
+        << " begin " << begin;
+    ASSERT_EQ(sharded.certify_update(begin, rs, ws), expect)
         << "update: shards " << p.shards << " threads " << p.threads
         << " seed " << seed << " step " << i << " begin " << begin;
 
@@ -102,11 +111,11 @@ void run_differential(const grid_point& p, std::uint64_t seed, int steps,
     ASSERT_EQ(sharded.history_size(), oracle.history_size());
     ASSERT_EQ(sharded.oldest_retained(), oracle.oldest_retained());
     // Per-shard rings drain their own fronts, so the sharded instance can
-    // only be *ahead* on stale-entry cleanup, never behind on content the
-    // decisions see.
-    ASSERT_LE(sharded.index_size(), oracle.index_size());
+    // only be *ahead* of the single-shard layout on stale-entry cleanup,
+    // never behind on content the decisions see.
+    ASSERT_LE(sharded.index_size(), single.index_size());
     if (p.shards == 1) {
-      ASSERT_EQ(sharded.index_size(), oracle.index_size());
+      ASSERT_EQ(sharded.index_size(), single.index_size());
     }
   }
   EXPECT_GT(oracle.commits(), 100u);
@@ -135,7 +144,7 @@ TEST(cert_shard_differential, tpcc_shaped_workload_agrees) {
   for (const grid_point& p : grid()) {
     cert_config cfg;
     cfg.history_window = 512;
-    certifier oracle(cfg);
+    reference_certifier oracle(cfg);
     sharded_certifier sharded(with_sharding(cfg, p));
     tpcc::workload load(tpcc::workload_profile::pentium3_1ghz(), 10,
                         util::rng(71));
@@ -175,7 +184,7 @@ TEST(cert_shard_differential, kv_scan_escalation_agrees) {
   for (const grid_point& p : grid()) {
     cert_config cfg;
     cfg.history_window = 256;
-    certifier oracle(cfg);
+    reference_certifier oracle(cfg);
     sharded_certifier sharded(with_sharding(cfg, p));
 
     kv::kv_config k;
@@ -221,16 +230,21 @@ TEST(cert_shard_differential, kv_scan_escalation_agrees) {
 }
 
 TEST(cert_shard_differential, default_config_snapshot_bytes_identical) {
-  // shards = 1 / certify_threads = 1 is not merely decision-equal to
-  // cert::certifier — the serialized state must be byte-identical, since
-  // replicas snapshot through the sharded path now.
+  // Replicas snapshot the default (1 shard / 1 thread) certifier for
+  // recovery state transfer. The serialized state must survive a
+  // restore byte-for-byte — into a fresh default instance and into a
+  // fresh many-shard one alike (the canonical format is
+  // shard-count-agnostic) — and the restored instances must keep
+  // deciding like the reference scan.
   cert_config cfg;
   cfg.history_window = 48;
-  certifier oracle(cfg);
-  sharded_certifier sharded(cfg);
+  reference_certifier oracle(cfg);
+  sharded_certifier donor(cfg);
   util::rng g(99);
-  for (int i = 0; i < 600; ++i) {
-    std::vector<item_id> rs, ws;
+  auto next_txn = [&g](std::uint64_t pos, std::vector<item_id>& rs,
+                       std::vector<item_id>& ws) {
+    rs.clear();
+    ws.clear();
     const auto n =
         static_cast<std::uint64_t>(g.uniform_int(0, 400));
     rs.push_back(g.bernoulli(0.3) ? gran(n >> 3) : tup(n));
@@ -238,43 +252,62 @@ TEST(cert_shard_differential, default_config_snapshot_bytes_identical) {
     if (g.bernoulli(0.5)) ws.push_back(gran((n + 1) >> 3));
     normalize(rs);
     normalize(ws);
-    const std::uint64_t pos = oracle.position();
-    const std::uint64_t begin =
-        pos - std::min<std::uint64_t>(
-                  pos, static_cast<std::uint64_t>(g.uniform_int(0, 60)));
-    ASSERT_EQ(sharded.certify_update(begin, rs, ws),
+    return pos - std::min<std::uint64_t>(
+                     pos, static_cast<std::uint64_t>(g.uniform_int(0, 60)));
+  };
+  std::vector<item_id> rs, ws;
+  for (int i = 0; i < 600; ++i) {
+    const std::uint64_t begin = next_txn(oracle.position(), rs, ws);
+    ASSERT_EQ(donor.certify_update(begin, rs, ws),
               oracle.certify_update(begin, rs, ws));
   }
-  util::buffer_writer wo, ws_;
-  oracle.snapshot(wo);
-  sharded.snapshot(ws_);
-  const auto a = wo.take();
-  const auto b = ws_.take();
-  ASSERT_EQ(*a, *b);
+  ASSERT_GT(donor.oldest_retained(), 1u);  // the window has slid
+  util::buffer_writer wd;
+  donor.snapshot(wd);
+  const auto blob = wd.take();
+
+  cert_config wide = cfg;
+  wide.shards = 8;
+  wide.certify_threads = 4;
+  sharded_certifier joiner(cfg), wide_joiner(wide);
+  util::buffer_reader rj(blob), rw(blob);
+  joiner.restore(rj);
+  wide_joiner.restore(rw);
+  for (sharded_certifier* c : {&joiner, &wide_joiner}) {
+    util::buffer_writer w;
+    c->snapshot(w);
+    const auto again = w.take();
+    ASSERT_EQ(*again, *blob);
+  }
+  for (int i = 0; i < 300; ++i) {
+    const std::uint64_t begin = next_txn(oracle.position(), rs, ws);
+    const bool expect = oracle.certify_update(begin, rs, ws);
+    ASSERT_EQ(joiner.certify_update(begin, rs, ws), expect) << i;
+    ASSERT_EQ(wide_joiner.certify_update(begin, rs, ws), expect) << i;
+  }
 }
 
 TEST(cert_shard_differential, modeled_cost_parallel_term_scales) {
   // The parallel term: with enough shards and threads, the critical path
   // charges roughly elements / workers, plus the fork overhead — and one
-  // worker charges exactly the certifier's set-linear model.
+  // worker charges exactly the set-linear model.
   cert_config cfg;
   std::vector<item_id> ws;
   for (std::uint64_t i = 0; i < 512; ++i) ws.push_back(tup(i * 7 + 1));
   normalize(ws);
 
-  certifier oracle(cfg);
-  oracle.certify_update(0, {}, ws);
-
   sharded_certifier serial(cfg);
   serial.certify_update(0, {}, ws);
-  EXPECT_EQ(serial.last_cost(), oracle.last_cost());
+  EXPECT_EQ(serial.last_cost(),
+            cfg.cost_fixed + cfg.cost_per_element *
+                                 static_cast<sim_duration>(ws.size()));
 
   cert_config par = cfg;
   par.shards = 16;
   par.certify_threads = 4;
   sharded_certifier forked(par);
   forked.certify_update(0, {}, ws);
-  EXPECT_LT(forked.last_cost(), oracle.last_cost());
+  EXPECT_LT(forked.last_cost(), serial.last_cost());
   // Critical path >= perfect split, and the fork overhead is charged.
   EXPECT_GE(forked.last_cost(),
             cfg.cost_fixed + par.cost_fork_join +
@@ -355,12 +388,14 @@ TEST(cert_shard_zero_sets, short_circuit_keeps_decisions_and_state) {
   // entirely — the decision is the global pre-window rule alone. The
   // short-circuit must be invisible in decisions, counters, history,
   // index contents, and serialized state; only the modeled cost drops
-  // (no fork term). Interleave zero-set and real transactions against
-  // the oracle at several grid points to prove it.
+  // (no fork term). Interleave zero-set and real transactions at several
+  // grid points against the reference scan, which has no short-circuit,
+  // and check the index against the single-shard layout.
   for (const grid_point& p : grid()) {
     cert_config cfg;
     cfg.history_window = 32;
-    certifier oracle(cfg);
+    reference_certifier oracle(cfg);
+    sharded_certifier single(cfg);
     sharded_certifier sharded(with_sharding(cfg, p));
     util::rng g(4242);
     for (int i = 0; i < 800; ++i) {
@@ -371,14 +406,16 @@ TEST(cert_shard_zero_sets, short_circuit_keeps_decisions_and_state) {
       const int shape = static_cast<int>(g.uniform_int(0, 3));
       if (shape == 0) {
         // Empty read set on the read-only path.
-        ASSERT_EQ(sharded.certify_read_only(begin, {}),
-                  oracle.certify_read_only(begin, {}));
+        const bool expect = oracle.certify_read_only(begin, {});
+        ASSERT_EQ(single.certify_read_only(begin, {}), expect);
+        ASSERT_EQ(sharded.certify_read_only(begin, {}), expect);
         ASSERT_EQ(sharded.last_cost(), cfg.cost_fixed);
       } else if (shape == 1) {
         // Both sets empty on the update path: consumes a position, can
         // only abort on the pre-window rule.
-        ASSERT_EQ(sharded.certify_update(begin, {}, {}),
-                  oracle.certify_update(begin, {}, {}));
+        const bool expect = oracle.certify_update(begin, {}, {});
+        ASSERT_EQ(single.certify_update(begin, {}, {}), expect);
+        ASSERT_EQ(sharded.certify_update(begin, {}, {}), expect);
         ASSERT_EQ(sharded.last_cost(), cfg.cost_fixed);
       } else {
         std::vector<item_id> rs, ws;
@@ -387,28 +424,33 @@ TEST(cert_shard_zero_sets, short_circuit_keeps_decisions_and_state) {
         ws.push_back(tup(n + 1));
         normalize(rs);
         normalize(ws);
-        ASSERT_EQ(sharded.certify_update(begin, rs, ws),
-                  oracle.certify_update(begin, rs, ws));
+        const bool expect = oracle.certify_update(begin, rs, ws);
+        ASSERT_EQ(single.certify_update(begin, rs, ws), expect);
+        ASSERT_EQ(sharded.certify_update(begin, rs, ws), expect);
       }
       ASSERT_EQ(sharded.position(), oracle.position());
       ASSERT_EQ(sharded.commits(), oracle.commits());
       ASSERT_EQ(sharded.aborts(), oracle.aborts());
       ASSERT_EQ(sharded.history_size(), oracle.history_size());
       ASSERT_EQ(sharded.oldest_retained(), oracle.oldest_retained());
-      if (p.shards == 1)
-        ASSERT_EQ(sharded.index_size(), oracle.index_size());
+      ASSERT_LE(sharded.index_size(), single.index_size());
+      if (p.shards == 1) {
+        ASSERT_EQ(sharded.index_size(), single.index_size());
+      }
     }
     EXPECT_GT(oracle.aborts(), 0u);  // pre-window aborts actually hit
-    // At 1 shard / 1 thread the serialized state stays byte-identical
-    // through the short-circuit path too.
-    if (p.shards == 1 && p.threads == 1) {
-      util::buffer_writer wo, ws_;
-      oracle.snapshot(wo);
-      sharded.snapshot(ws_);
-      const auto a = wo.take();
-      const auto b = ws_.take();
-      ASSERT_EQ(*a, *b);
-    }
+    // The serialized state of every layout restores into the single-shard
+    // one and re-serializes to the same bytes, short-circuited entries
+    // included.
+    util::buffer_writer w;
+    sharded.snapshot(w);
+    const auto blob = w.take();
+    sharded_certifier restored(cfg);
+    util::buffer_reader r(blob);
+    restored.restore(r);
+    util::buffer_writer again;
+    restored.snapshot(again);
+    ASSERT_EQ(*again.take(), *blob);
   }
 }
 

@@ -370,7 +370,9 @@ TEST(scenario_catalog, finds_and_builds_every_entry) {
     EXPECT_EQ(scenarios::find(e.name), &e);
     const scenario s = e.make(prm);
     EXPECT_EQ(s.name(), e.name);
-    if (std::string_view(e.name) != "no_faults") EXPECT_FALSE(s.empty());
+    if (std::string_view(e.name) != "no_faults") {
+      EXPECT_FALSE(s.empty());
+    }
   }
   EXPECT_EQ(scenarios::find("does_not_exist"), nullptr);
 }

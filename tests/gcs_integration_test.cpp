@@ -51,13 +51,13 @@ struct group_harness {
           util::rng(100 + i)));
       transports.back()->attach(*envs.back());
       groups.push_back(std::make_unique<group>(*envs.back(), cfg));
-      groups.back()->set_deliver([this, i](node_id sender,
-                                           std::uint64_t seq,
-                                           util::shared_bytes payload) {
-        delivered[i].push_back(
-            {sender, seq,
-             std::string(payload->begin(), payload->end())});
-      });
+      groups.back()->set_deliver_run(
+          [this, i](std::vector<gcs::delivery>&& run) {
+            for (const gcs::delivery& d : run)
+              delivered[i].push_back(
+                  {d.sender, d.global_seq,
+                   std::string(d.payload->begin(), d.payload->end())});
+          });
       groups.back()->set_view_handler(
           [this, i](const view& v) { views[i].push_back(v.id); });
     }

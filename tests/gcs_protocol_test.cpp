@@ -257,10 +257,10 @@ struct order_fixture {
   std::vector<util::shared_bytes> sent_batches;
 
   order_fixture() {
-    to.set_deliver([this](node_id, std::uint64_t seq,
-                          util::shared_bytes payload) {
-      delivered.emplace_back(seq,
-                             std::string(payload->begin(), payload->end()));
+    to.set_deliver_run([this](std::vector<delivery>&& run) {
+      for (const delivery& d : run)
+        delivered.emplace_back(
+            d.global_seq, std::string(d.payload->begin(), d.payload->end()));
     });
     to.set_send_assignments([this](util::shared_bytes batch) {
       sent_batches.push_back(std::move(batch));
@@ -397,8 +397,10 @@ TEST(total_order, view_change_rolls_back_the_open_batch) {
   total_order to{env, cfg};
   std::vector<std::pair<std::uint64_t, std::string>> delivered;
   std::vector<util::shared_bytes> sent;
-  to.set_deliver([&](node_id, std::uint64_t seq, util::shared_bytes p) {
-    delivered.emplace_back(seq, std::string(p->begin(), p->end()));
+  to.set_deliver_run([&](std::vector<delivery>&& run) {
+    for (const delivery& d : run)
+      delivered.emplace_back(
+          d.global_seq, std::string(d.payload->begin(), d.payload->end()));
   });
   to.set_send_batch([&](util::shared_bytes b) { sent.push_back(b); });
   to.set_sequencer(0);

@@ -113,10 +113,11 @@ TEST(native_env, group_total_order_over_real_sockets) {
     gcs::group_config gcfg;
     gcfg.members = {0, 1, 2};
     groups.push_back(std::make_unique<gcs::group>(*envs[i], gcfg));
-    groups[i]->set_deliver([&, i](node_id, std::uint64_t,
-                                  util::shared_bytes payload) {
-      delivered[i].emplace_back(payload->begin(), payload->end());
-      total_delivered.fetch_add(1);
+    groups[i]->set_deliver_run([&, i](std::vector<gcs::delivery>&& run) {
+      for (const gcs::delivery& d : run) {
+        delivered[i].emplace_back(d.payload->begin(), d.payload->end());
+        total_delivered.fetch_add(1);
+      }
     });
   }
 

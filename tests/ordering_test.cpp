@@ -71,10 +71,10 @@ struct token_fixture {
   std::vector<pass> passes;
 
   token_fixture() {
-    to.set_deliver([this](node_id, std::uint64_t seq,
-                          util::shared_bytes payload) {
-      delivered.emplace_back(seq,
-                             std::string(payload->begin(), payload->end()));
+    to.set_deliver_run([this](std::vector<gcs::delivery>&& run) {
+      for (const gcs::delivery& d : run)
+        delivered.emplace_back(
+            d.global_seq, std::string(d.payload->begin(), d.payload->end()));
     });
     to.set_send_batch([this](util::shared_bytes b) {
       sent_mints.push_back(std::move(b));
