@@ -47,12 +47,18 @@ txn_payload decode_txn(const util::shared_bytes& raw) {
   p.cls = r.get_u16();
   p.origin = r.get_u32();
   p.begin_pos = r.get_u64();
-  const std::uint32_t nr = r.get_u32();
-  p.read_set.reserve(nr);
-  for (std::uint32_t i = 0; i < nr; ++i) p.read_set.push_back(r.get_u64());
-  const std::uint32_t nw = r.get_u32();
-  p.write_set.reserve(nw);
-  for (std::uint32_t i = 0; i < nw; ++i) p.write_set.push_back(r.get_u64());
+  // Counts come off the wire: bound each by the bytes left (8 per item)
+  // before reserving, so a hostile count is rejected, not allocated.
+  auto read_items = [&r](std::vector<db::item_id>& out) {
+    const std::uint32_t n = r.get_u32();
+    DBSM_CHECK_MSG(n <= r.remaining() / 8,
+                   "item count " << n << " exceeds the " << r.remaining()
+                                 << " bytes left");
+    out.reserve(n);
+    for (std::uint32_t i = 0; i < n; ++i) out.push_back(r.get_u64());
+  };
+  read_items(p.read_set);
+  read_items(p.write_set);
   p.disk_sectors = r.get_u16();
   p.update_bytes = r.get_u32();
   r.skip(p.update_bytes);

@@ -105,7 +105,7 @@ void group::build_stack(const view& v, std::uint64_t delivered) {
     // Raw control plane like heartbeats: loss is covered by the passer's
     // retransmission and, terminally, by regeneration at the next view.
     token_msg t;
-    t.hdr = {msg_type::token, membership_->current().id, env_.self()};
+    t.hdr = {membership_->current().id, env_.self()};
     t.token_seq = token_seq;
     t.next_assign = next_assign;
     t.holder = holder;
@@ -248,16 +248,14 @@ void group::on_app_msg(node_id sender, std::uint64_t app_seq,
     case kind_user:
       order_->on_user_msg(sender, app_seq, std::move(payload), last_dgram);
       break;
-    case kind_assignments: {
-      auto body = std::make_shared<util::bytes>(payload->begin() + 1,
-                                                payload->end());
-      order_->on_assignments(body);
-      break;
-    }
+    case kind_assignments:
     case kind_assignment_batch: {
       auto body = std::make_shared<util::bytes>(payload->begin() + 1,
                                                 payload->end());
-      order_->on_assignment_batch(body);
+      if (kind == kind_assignments)
+        order_->on_assignments(body);
+      else
+        order_->on_assignment_batch(body);
       break;
     }
     default:
@@ -269,19 +267,19 @@ void group::on_app_msg(node_id sender, std::uint64_t app_seq,
 void group::dispatch(node_id from, util::shared_bytes raw) {
   if (stopped_ || raw->size() < 9) return;
   env_.charge(cfg_.handler_cpu_cost);
-  const header hdr = decode_header(raw);
+  const tagged_header head = decode<tagged_header>(raw);
   if (joining_) {
     // A recovering site runs nothing but the join protocol: the rest of
     // the stack is rebuilt when the merged view installs.
-    switch (hdr.type) {
+    switch (head.type) {
       case msg_type::join_chunk:
-        recovery_->on_chunk(decode_join_chunk(raw));
+        recovery_->on_chunk(decode<join_chunk_msg>(raw));
         break;
       case msg_type::join_fwd:
-        recovery_->on_fwd(decode_join_fwd(raw));
+        recovery_->on_fwd(decode<join_fwd_msg>(raw));
         break;
       case msg_type::join_commit:
-        recovery_->on_commit(decode_join_commit(raw));
+        recovery_->on_commit(decode<join_commit_msg>(raw));
         break;
       default:
         break;
@@ -292,19 +290,19 @@ void group::dispatch(node_id from, util::shared_bytes raw) {
   // that voted us out (see membership::on_foreign_view) — e.g. it was
   // multicast while a partition cut us off. Discovering it here halts
   // delivery instead of letting the node ride (or extend) a dead branch.
-  membership_->on_foreign_view(hdr.view_id);
-  fd_->heard_from(hdr.sender, env_.now());
-  switch (hdr.type) {
+  membership_->on_foreign_view(head.hdr.view_id);
+  fd_->heard_from(head.hdr.sender, env_.now());
+  switch (head.type) {
     case msg_type::data: {
-      const data_msg m = decode_data(raw);
+      const data_msg m = decode<data_msg>(raw);
       rmcast_->on_data(m, raw);
       break;
     }
     case msg_type::nak:
-      rmcast_->on_nak(decode_nak(raw));
+      rmcast_->on_nak(decode<nak_msg>(raw));
       break;
     case msg_type::stab: {
-      const stab_msg m = decode_stab(raw);
+      const stab_msg m = decode<stab_msg>(raw);
       // Only merge gossip from the same view (vector layout must match).
       if (m.hdr.view_id == membership_->current().id &&
           m.stable.size() == stability_->members().size()) {
@@ -321,37 +319,37 @@ void group::dispatch(node_id from, util::shared_bytes raw) {
       // that no later traffic would reveal (a rejoined member's blind
       // spot between the members' install and its own).
       if (cfg_.enable_recovery) {
-        const heartbeat_msg hb = decode_heartbeat(raw);
+        const heartbeat_msg hb = decode<heartbeat_msg>(raw);
         if (hb.sent_high && hb.hdr.view_id == membership_->current().id)
           rmcast_->note_sender_high(hb.hdr.sender, *hb.sent_high);
       }
       break;
     case msg_type::view_propose:
-      membership_->on_propose(decode_view_propose(raw));
+      membership_->on_propose(decode<view_propose_msg>(raw));
       break;
     case msg_type::view_state:
-      membership_->on_state(decode_view_state(raw));
+      membership_->on_state(decode<view_state_msg>(raw));
       break;
     case msg_type::view_cut:
-      membership_->on_cut(decode_view_cut(raw));
+      membership_->on_cut(decode<view_cut_msg>(raw));
       break;
     case msg_type::view_flush_ok:
-      membership_->on_flush_ok(decode_view_flush_ok(raw));
+      membership_->on_flush_ok(decode<view_flush_ok_msg>(raw));
       break;
     case msg_type::view_install:
-      membership_->on_install(decode_view_install(raw));
+      membership_->on_install(decode<view_install_msg>(raw));
       break;
     case msg_type::join_request:
-      if (recovery_) recovery_->on_join_request(decode_join_request(raw));
+      if (recovery_) recovery_->on_join_request(decode<join_request_msg>(raw));
       break;
     case msg_type::join_chunk_ack:
-      if (recovery_) recovery_->on_chunk_ack(decode_join_chunk_ack(raw));
+      if (recovery_) recovery_->on_chunk_ack(decode<join_chunk_ack_msg>(raw));
       break;
     case msg_type::join_fwd_ack:
-      if (recovery_) recovery_->on_fwd_ack(decode_join_fwd_ack(raw));
+      if (recovery_) recovery_->on_fwd_ack(decode<join_fwd_ack_msg>(raw));
       break;
     case msg_type::join_done:
-      if (recovery_) recovery_->on_done(decode_join_done(raw));
+      if (recovery_) recovery_->on_done(decode<join_done_msg>(raw));
       break;
     case msg_type::join_chunk:
     case msg_type::join_fwd:
@@ -363,9 +361,9 @@ void group::dispatch(node_id from, util::shared_bytes raw) {
       // a view change the membership barrier holds the token clock still:
       // a hop accepted mid-flush could mint assignments that breach view
       // synchrony.
-      if (hdr.view_id == membership_->current().id &&
+      if (head.hdr.view_id == membership_->current().id &&
           !membership_->barrier_active()) {
-        order_->on_token(decode_token(raw));
+        order_->on_token(decode<token_msg>(raw));
       }
       break;
   }
@@ -400,7 +398,7 @@ void group::stability_tick() {
 void group::heartbeat_tick() {
   if (stopped_) return;
   heartbeat_msg hb;
-  hb.hdr = {msg_type::heartbeat, membership_->current().id, env_.self()};
+  hb.hdr = {membership_->current().id, env_.self()};
   if (cfg_.enable_recovery) hb.sent_high = rmcast_->sent_high();
   env_.multicast(encode(hb));
   // Failure detection shares the heartbeat cadence.

@@ -122,7 +122,7 @@ void membership::propose() {
   member_flush_done_ = false;
 
   view_propose_msg m;
-  m.hdr = {msg_type::view_propose, current_.id, env_.self()};
+  m.hdr = {current_.id, env_.self()};
   m.new_view_id = pending_view_;
   m.proposed_members = pending_members_;
   DBSM_LOG(info, "gcs.membership",
@@ -156,7 +156,7 @@ void membership::on_propose(const view_propose_msg& m) {
   if (hooks_.cancel_flush) hooks_.cancel_flush();
 
   view_state_msg reply;
-  reply.hdr = {msg_type::view_state, current_.id, env_.self()};
+  reply.hdr = {current_.id, env_.self()};
   reply.new_view_id = pending_view_;
   reply.prefixes = hooks_.get_prefixes();
   hooks_.send(coordinator_, encode(reply));
@@ -191,7 +191,7 @@ void membership::maybe_send_cut() {
   cut_sent_ = true;
 
   view_cut_msg m;
-  m.hdr = {msg_type::view_cut, current_.id, env_.self()};
+  m.hdr = {current_.id, env_.self()};
   m.new_view_id = pending_view_;
   m.new_members = pending_members_;
   m.cut = cut_;
@@ -204,21 +204,22 @@ void membership::on_cut(const view_cut_msg& m) {
   const node_id coord = m.hdr.sender;
   if (member_flush_done_) {
     // Duplicate (retry): our earlier flush_ok may have been lost.
-    view_flush_ok_msg ok;
-    ok.hdr = {msg_type::view_flush_ok, current_.id, env_.self()};
-    ok.new_view_id = pending_view_;
-    hooks_.send(coord, encode(ok));
+    send_flush_ok(coord);
     return;
   }
   const std::uint32_t vid = pending_view_;
   hooks_.ensure_cut(m.cut, m.sources, [this, vid, coord] {
     if (!changing_ || pending_view_ != vid) return;
     member_flush_done_ = true;
-    view_flush_ok_msg ok;
-    ok.hdr = {msg_type::view_flush_ok, current_.id, env_.self()};
-    ok.new_view_id = vid;
-    hooks_.send(coord, encode(ok));
+    send_flush_ok(coord);
   });
+}
+
+void membership::send_flush_ok(node_id coord) {
+  view_flush_ok_msg ok;
+  ok.hdr = {current_.id, env_.self()};
+  ok.new_view_id = pending_view_;
+  hooks_.send(coord, encode(ok));
 }
 
 void membership::on_flush_ok(const view_flush_ok_msg& m) {
@@ -234,7 +235,7 @@ void membership::maybe_install() {
     if (current_.contains(n) && !flush_oks_.count(n)) return;
 
   view_install_msg m;
-  m.hdr = {msg_type::view_install, current_.id, env_.self()};
+  m.hdr = {current_.id, env_.self()};
   m.new_view_id = pending_view_;
   m.new_members = pending_members_;
   m.cut = cut_;

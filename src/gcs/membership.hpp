@@ -128,6 +128,7 @@ class membership {
   void start_change();
   void propose();
   void maybe_send_cut();
+  void send_flush_ok(node_id coord);
   void maybe_install();
   void arm_retry();
   void retry_fire();

@@ -19,57 +19,6 @@ const char* ordering_name(ordering_kind k) {
   return "?";
 }
 
-util::shared_bytes encode_assignments(const std::vector<assignment>& as) {
-  util::buffer_writer w(4 + 20 * as.size());
-  w.put_u16(static_cast<std::uint16_t>(as.size()));
-  for (const assignment& a : as) {
-    w.put_u32(a.sender);
-    w.put_u64(a.app_seq);
-    w.put_u64(a.global_seq);
-  }
-  return w.take();
-}
-
-std::vector<assignment> decode_assignments(const util::shared_bytes& raw) {
-  util::buffer_reader r(raw);
-  const std::uint16_t n = r.get_u16();
-  std::vector<assignment> out;
-  out.reserve(n);
-  for (std::uint16_t i = 0; i < n; ++i) {
-    assignment a;
-    a.sender = r.get_u32();
-    a.app_seq = r.get_u64();
-    a.global_seq = r.get_u64();
-    out.push_back(a);
-  }
-  return out;
-}
-
-util::shared_bytes encode_assignment_batch(const assignment_batch& b) {
-  util::buffer_writer w(10 + 12 * b.keys.size());
-  w.put_u64(b.base);
-  w.put_u16(static_cast<std::uint16_t>(b.keys.size()));
-  for (const auto& [sender, app_seq] : b.keys) {
-    w.put_u32(sender);
-    w.put_u64(app_seq);
-  }
-  return w.take();
-}
-
-assignment_batch decode_assignment_batch(const util::shared_bytes& raw) {
-  util::buffer_reader r(raw);
-  assignment_batch b;
-  b.base = r.get_u64();
-  const std::uint16_t n = r.get_u16();
-  b.keys.reserve(n);
-  for (std::uint16_t i = 0; i < n; ++i) {
-    const node_id sender = r.get_u32();
-    const std::uint64_t app_seq = r.get_u64();
-    b.keys.emplace_back(sender, app_seq);
-  }
-  return b;
-}
-
 ordering::ordering(csrt::env& env, const group_config& cfg)
     : env_(env), cfg_(cfg) {}
 
@@ -98,7 +47,7 @@ void ordering::on_user_msg(node_id sender, std::uint64_t app_seq,
 }
 
 void ordering::on_assignments(const util::shared_bytes& batch) {
-  for (const assignment& a : decode_assignments(batch)) {
+  for (const assignment& a : decode<assignment_record>(batch).entries) {
     const msg_key key{a.sender, a.app_seq};
     order_.emplace(a.global_seq, key);
     assigned_.insert(key);
@@ -108,7 +57,7 @@ void ordering::on_assignments(const util::shared_bytes& batch) {
 }
 
 void ordering::on_assignment_batch(const util::shared_bytes& raw) {
-  const assignment_batch b = decode_assignment_batch(raw);
+  const auto b = decode<assignment_batch>(raw);
   std::uint64_t seq = b.base;
   for (const auto& [sender, app_seq] : b.keys) {
     const msg_key key{sender, app_seq};

@@ -30,6 +30,8 @@
 #include <map>
 #include <memory>
 #include <set>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "csrt/env.hpp"
@@ -44,10 +46,22 @@ struct assignment {
   node_id sender = 0;
   std::uint64_t app_seq = 0;
   std::uint64_t global_seq = 0;
+
+  template <class S> static auto fields(S& a) {
+    return std::tie(a.sender, a.app_seq, a.global_seq);
+  }
 };
 
-util::shared_bytes encode_assignments(const std::vector<assignment>& as);
-std::vector<assignment> decode_assignments(const util::shared_bytes& raw);
+/// Per-payload assignment record (the fixed sequencer's default mint
+/// record): 20 bytes per payload, wrapped by the group under its own app
+/// message kind.
+struct assignment_record {
+  std::vector<assignment> entries;
+
+  template <class S> static auto fields(S& r) {
+    return std::tie(r.entries);
+  }
+};
 
 /// Batch assignment record (group_config::batch_max > 1, and the rotating
 /// token's native mint record): one base global sequence plus the
@@ -57,10 +71,11 @@ std::vector<assignment> decode_assignments(const util::shared_bytes& raw);
 struct assignment_batch {
   std::uint64_t base = 0;
   std::vector<std::pair<node_id, std::uint64_t>> keys;
-};
 
-util::shared_bytes encode_assignment_batch(const assignment_batch& b);
-assignment_batch decode_assignment_batch(const util::shared_bytes& raw);
+  template <class S> static auto fields(S& b) {
+    return std::tie(b.base, b.keys);
+  }
+};
 
 /// One totally ordered delivery; the application receives them in runs.
 struct delivery {

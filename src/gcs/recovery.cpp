@@ -70,7 +70,7 @@ void recovery::send_chunk(std::uint32_t idx) {
   const std::size_t hi =
       std::min(donor_->blob->size(), lo + cfg_.join_chunk_bytes);
   join_chunk_msg m;
-  m.hdr = {msg_type::join_chunk, 0, env_.self()};
+  m.hdr = {0, env_.self()};
   m.incarnation = donor_->incarnation;
   m.snap_pos = donor_->snap_pos;
   m.chunk_idx = idx;
@@ -105,16 +105,8 @@ void recovery::on_local_deliver(node_id sender, std::uint64_t global_seq,
     return;  // new-epoch traffic the joiner receives as a member
   donor_->fwd.push_back({global_seq, sender, std::move(payload)});
   if (donor_->ph != donor_state::phase::transfer &&
-      global_seq <= donor_->acked + cfg_.join_fwd_window) {
-    const fwd_entry& e = donor_->fwd.back();
-    join_fwd_msg m;
-    m.hdr = {msg_type::join_fwd, 0, env_.self()};
-    m.incarnation = donor_->incarnation;
-    m.global_seq = e.seq;
-    m.orig_sender = e.sender;
-    m.payload = e.payload;
-    hooks_.send(donor_->joiner, encode(m));
-  }
+      global_seq <= donor_->acked + cfg_.join_fwd_window)
+    send_fwd(donor_->fwd.back());
 }
 
 void recovery::send_fwd_window() {
@@ -123,14 +115,18 @@ void recovery::send_fwd_window() {
   for (const fwd_entry& e : donor_->fwd) {
     if (e.seq <= donor_->acked) continue;
     if (e.seq > hi) break;
-    join_fwd_msg m;
-    m.hdr = {msg_type::join_fwd, 0, env_.self()};
-    m.incarnation = donor_->incarnation;
-    m.global_seq = e.seq;
-    m.orig_sender = e.sender;
-    m.payload = e.payload;
-    hooks_.send(donor_->joiner, encode(m));
+    send_fwd(e);
   }
+}
+
+void recovery::send_fwd(const fwd_entry& e) {
+  join_fwd_msg m;
+  m.hdr = {0, env_.self()};
+  m.incarnation = donor_->incarnation;
+  m.global_seq = e.seq;
+  m.orig_sender = e.sender;
+  m.payload = e.payload;
+  hooks_.send(donor_->joiner, encode(m));
 }
 
 void recovery::on_fwd_ack(const join_fwd_ack_msg& m) {
@@ -164,7 +160,7 @@ void recovery::on_view_installed(const view& v, std::uint64_t delivered) {
 void recovery::send_commit() {
   DBSM_CHECK(donor_.has_value());
   join_commit_msg m;
-  m.hdr = {msg_type::join_commit, donor_->merged.id, env_.self()};
+  m.hdr = {donor_->merged.id, env_.self()};
   m.incarnation = donor_->incarnation;
   m.commit_seq = donor_->commit_seq;
   m.view_id = donor_->merged.id;
@@ -248,7 +244,7 @@ void recovery::begin_join() {
            "node " << env_.self() << " requests rejoin (incarnation "
                    << incarnation_ << ")");
   join_request_msg m;
-  m.hdr = {msg_type::join_request, 0, env_.self()};
+  m.hdr = {0, env_.self()};
   m.incarnation = incarnation_;
   hooks_.mcast(encode(m));
   arm_joiner_tick();
@@ -288,16 +284,14 @@ void recovery::on_chunk(const join_chunk_msg& m) {
   if (donor_id_ != invalid_node && m.hdr.sender != donor_id_) return;
   donor_id_ = m.hdr.sender;
   note_progress();
-  if (snapshot_installed_) {
-    // Duplicate of an already-assembled snapshot (our ack was lost):
-    // re-ack without touching the replay position.
-    join_chunk_ack_msg ack;
-    ack.hdr = {msg_type::join_chunk_ack, 0, env_.self()};
-    ack.incarnation = incarnation_;
-    ack.chunk_idx = m.chunk_idx;
-    hooks_.send(donor_id_, encode(ack));
-    return;
-  }
+  join_chunk_ack_msg ack;
+  ack.hdr = {0, env_.self()};
+  ack.incarnation = incarnation_;
+  ack.chunk_idx = m.chunk_idx;
+  hooks_.send(donor_id_, encode(ack));
+  // A duplicate of an already-assembled snapshot (our ack was lost) is
+  // re-acked without touching the replay position.
+  if (snapshot_installed_) return;
   if (chunks_.empty()) {
     DBSM_CHECK(m.chunk_cnt >= 1);
     chunks_.assign(m.chunk_cnt, nullptr);
@@ -307,12 +301,6 @@ void recovery::on_chunk(const join_chunk_msg& m) {
     chunks_[m.chunk_idx] = m.payload;
     ++chunks_have_;
   }
-  join_chunk_ack_msg ack;
-  ack.hdr = {msg_type::join_chunk_ack, 0, env_.self()};
-  ack.incarnation = incarnation_;
-  ack.chunk_idx = m.chunk_idx;
-  hooks_.send(donor_id_, encode(ack));
-
   if (chunks_have_ == chunks_.size()) {
     auto blob = std::make_shared<util::bytes>();
     std::size_t total = 0;
@@ -367,7 +355,7 @@ void recovery::drain_replay() {
 void recovery::send_fwd_ack() {
   if (donor_id_ == invalid_node) return;
   join_fwd_ack_msg m;
-  m.hdr = {msg_type::join_fwd_ack, 0, env_.self()};
+  m.hdr = {0, env_.self()};
   m.incarnation = incarnation_;
   m.replayed_to = replay_pos_;
   hooks_.send(donor_id_, encode(m));
@@ -397,7 +385,7 @@ void recovery::maybe_finish_join() {
     joiner_timer_ = 0;
   }
   join_done_msg done;
-  done.hdr = {msg_type::join_done, commit_view_.id, env_.self()};
+  done.hdr = {commit_view_.id, env_.self()};
   done.incarnation = incarnation_;
   hooks_.send(donor_id_, encode(done));
   DBSM_LOG(info, "gcs.recovery",

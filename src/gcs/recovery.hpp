@@ -131,6 +131,7 @@ class recovery {
   void arm_donor_tick();
   void send_chunk(std::uint32_t idx);
   void send_fwd_window();
+  void send_fwd(const fwd_entry& e);
   void send_commit();
   void abandon_join(const char* why);
 

@@ -65,7 +65,7 @@ void reliable_mcast::broadcast(util::shared_bytes payload) {
   const std::uint64_t app_seq = ++my_app_seq_;
   for (std::size_t i = 0; i < count; ++i) {
     data_msg m;
-    m.hdr = {msg_type::data, view_id_, env_.self()};
+    m.hdr = {view_id_, env_.self()};
     m.dgram_seq = ++my_dgram_seq_;
     m.app_seq = app_seq;
     m.frag_idx = static_cast<std::uint16_t>(i);
@@ -240,21 +240,25 @@ void reliable_mcast::nak_fire(node_id sender) {
     st.nak_interval = 0;
     return;  // gap closed meanwhile
   }
-  nak_msg nak;
-  nak.hdr = {msg_type::nak, view_id_, env_.self()};
-  nak.target_sender = sender;
-  for (std::uint64_t s = st.prefix + 1;
-       s <= st.max_seen && nak.missing.size() < cfg_.nak_batch; ++s) {
-    if (!st.ooo.count(s)) nak.missing.push_back(s);
-  }
-  if (!nak.missing.empty()) {
-    ++stats_.naks_sent;
-    env_.send(sender, encode(nak));
-  }
+  send_nak(sender, st, st.max_seen, sender);
   // Exponential backoff while the gap persists.
   st.nak_interval = std::min(st.nak_interval * 2, cfg_.nak_backoff_max);
   st.nak_timer = env_.set_timer(st.nak_interval,
                                 [this, sender] { nak_fire(sender); });
+}
+
+void reliable_mcast::send_nak(node_id target, const sender_state& st,
+                              std::uint64_t upto, node_id to) {
+  nak_msg nak;
+  nak.hdr = {view_id_, env_.self()};
+  nak.target_sender = target;
+  for (std::uint64_t s = st.prefix + 1;
+       s <= upto && nak.missing.size() < cfg_.nak_batch; ++s) {
+    if (!st.ooo.count(s)) nak.missing.push_back(s);
+  }
+  if (nak.missing.empty()) return;
+  ++stats_.naks_sent;
+  env_.send(to, encode(nak));
 }
 
 void reliable_mcast::on_nak(const nak_msg& m) {
@@ -367,19 +371,9 @@ void reliable_mcast::flush_fire() {
     if (sit == senders_.end()) continue;
     sender_state& st = sit->second;
     if (st.prefix >= flush_cut_[i]) continue;
-    nak_msg nak;
-    nak.hdr = {msg_type::nak, view_id_, env_.self()};
-    nak.target_sender = m;
-    for (std::uint64_t s = st.prefix + 1;
-         s <= flush_cut_[i] && nak.missing.size() < cfg_.nak_batch; ++s) {
-      if (!st.ooo.count(s)) nak.missing.push_back(s);
-    }
-    if (!nak.missing.empty()) {
-      ++stats_.naks_sent;
-      const node_id source =
-          flush_sources_[i] == env_.self() ? m : flush_sources_[i];
-      env_.send(source, encode(nak));
-    }
+    const node_id source =
+        flush_sources_[i] == env_.self() ? m : flush_sources_[i];
+    send_nak(m, st, flush_cut_[i], source);
   }
   if (flush_timer_ != 0) env_.cancel_timer(flush_timer_);
   flush_timer_ =

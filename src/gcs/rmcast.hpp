@@ -142,6 +142,10 @@ class reliable_mcast {
   void deliver_fragment(node_id sender, sender_state& st, const data_msg& m);
   void arm_nak(node_id sender, sender_state& st);
   void nak_fire(node_id sender);
+  /// NAKs `to` for `target`'s datagrams missing in (prefix, upto], at
+  /// most nak_batch of them; sends nothing when none is missing.
+  void send_nak(node_id target, const sender_state& st, std::uint64_t upto,
+                node_id to);
   void check_flush_done();
   void flush_fire();
 

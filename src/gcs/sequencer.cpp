@@ -91,7 +91,7 @@ void total_order::close_batch() {
   b.keys.swap(batch_keys_);
   // Like per-payload assignments, the batch takes effect only when the
   // record returns through the sequencer's own reliable stream.
-  if (send_batch_) send_batch_(encode_assignment_batch(b));
+  if (send_batch_) send_batch_(encode(b));
 }
 
 void total_order::flush_batch() {
@@ -108,9 +108,9 @@ void total_order::flush_batch() {
     env_.cancel_timer(batch_timer_);
     batch_timer_ = 0;
   }
-  std::vector<assignment> batch;
-  batch.swap(batch_);
-  if (send_assignments_) send_assignments_(encode_assignments(batch));
+  assignment_record record;
+  record.entries.swap(batch_);
+  if (send_assignments_) send_assignments_(encode(record));
 }
 
 void total_order::rollback_unflushed() {

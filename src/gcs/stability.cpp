@@ -99,9 +99,7 @@ bool stability_tracker::merge(const stab_msg& m) {
 
 stab_msg stability_tracker::make_gossip(std::uint32_t view_id) const {
   stab_msg m;
-  m.hdr.type = msg_type::stab;
-  m.hdr.view_id = view_id;
-  m.hdr.sender = self_;
+  m.hdr = {view_id, self_};
   m.round = round_;
   m.voters_bitmap = voters_;
   m.stable = stable_;

@@ -139,7 +139,7 @@ bool token_order::mint_pending() {
       assigned_.insert(keys[off + i]);
     }
     ++mints_;
-    if (send_batch_) send_batch_(encode_assignment_batch(b));
+    if (send_batch_) send_batch_(encode(b));
   }
   return true;
 }

@@ -36,8 +36,8 @@ TEST(assignment_batch_codec, round_trips_exactly) {
   gcs::assignment_batch b;
   b.base = 4711;
   b.keys = {{2, 1}, {0, 9}, {2, 2}, {1, 0xffffffffffffffffull}};
-  const auto raw = gcs::encode_assignment_batch(b);
-  const gcs::assignment_batch back = gcs::decode_assignment_batch(raw);
+  const auto raw = gcs::encode(b);
+  const gcs::assignment_batch back = gcs::decode<gcs::assignment_batch>(raw);
   EXPECT_EQ(back.base, b.base);
   ASSERT_EQ(back.keys.size(), b.keys.size());
   for (std::size_t i = 0; i < b.keys.size(); ++i) {
@@ -50,7 +50,7 @@ TEST(assignment_batch_codec, empty_batch_round_trips) {
   gcs::assignment_batch b;
   b.base = 1;
   const gcs::assignment_batch back =
-      gcs::decode_assignment_batch(gcs::encode_assignment_batch(b));
+      gcs::decode<gcs::assignment_batch>(gcs::encode(b));
   EXPECT_EQ(back.base, 1u);
   EXPECT_TRUE(back.keys.empty());
 }
@@ -60,13 +60,12 @@ TEST(assignment_batch_codec, beats_per_payload_assignments_on_the_wire) {
   // than n per-payload assignment records (12 vs 20 bytes per payload).
   gcs::assignment_batch b;
   b.base = 100;
-  std::vector<gcs::assignment> singles;
+  gcs::assignment_record singles;
   for (std::uint64_t i = 0; i < 64; ++i) {
     b.keys.emplace_back(static_cast<node_id>(i % 5), i);
-    singles.push_back({static_cast<node_id>(i % 5), i, 100 + i});
+    singles.entries.push_back({static_cast<node_id>(i % 5), i, 100 + i});
   }
-  EXPECT_LT(gcs::encode_assignment_batch(b)->size(),
-            gcs::encode_assignments(singles)->size());
+  EXPECT_LT(gcs::encode(b)->size(), gcs::encode(singles)->size());
 }
 
 // ---------- core::commit_pipeline hand-off semantics ----------

@@ -46,7 +46,7 @@ struct rmcast_fixture {
       const std::string& text, std::uint16_t frag_idx = 0,
       std::uint16_t frag_cnt = 1) {
     data_msg m;
-    m.hdr = {msg_type::data, 1, sender};
+    m.hdr = {1, sender};
     m.dgram_seq = dgram_seq;
     m.app_seq = app_seq;
     m.frag_idx = frag_idx;
@@ -74,7 +74,7 @@ TEST(rmcast_protocol, broadcast_self_delivers_and_transmits) {
   const auto out = f.env.take_outbox();
   ASSERT_EQ(out.size(), 1u);
   EXPECT_EQ(out[0].to, invalid_node);  // multicast
-  const data_msg m = decode_data(out[0].payload);
+  const data_msg m = decode<data_msg>(out[0].payload);
   EXPECT_EQ(m.dgram_seq, 1u);
   EXPECT_EQ(m.frag_cnt, 1);
 }
@@ -85,7 +85,7 @@ TEST(rmcast_protocol, large_payload_fragments) {
   const auto out = f.env.take_outbox();
   ASSERT_EQ(out.size(), 3u);
   for (unsigned i = 0; i < 3; ++i) {
-    const data_msg m = decode_data(out[i].payload);
+    const data_msg m = decode<data_msg>(out[i].payload);
     EXPECT_EQ(m.frag_idx, i);
     EXPECT_EQ(m.frag_cnt, 3);
     EXPECT_EQ(m.app_seq, 1u);
@@ -123,7 +123,7 @@ TEST(rmcast_protocol, gap_triggers_nak_with_backoff) {
   auto out = f.env.take_outbox();
   ASSERT_EQ(out.size(), 1u);
   EXPECT_EQ(out[0].to, 1u);  // unicast to the sender
-  const nak_msg nak = decode_nak(out[0].payload);
+  const nak_msg nak = decode<nak_msg>(out[0].payload);
   EXPECT_EQ(nak.target_sender, 1u);
   EXPECT_EQ(nak.missing, (std::vector<std::uint64_t>{2, 3}));
   // Still missing: the next NAK fires after a doubled interval.
@@ -132,7 +132,7 @@ TEST(rmcast_protocol, gap_triggers_nak_with_backoff) {
   f.env.advance(f.cfg.nak_delay + 1);
   out = f.env.take_outbox();
   ASSERT_EQ(out.size(), 1u);
-  EXPECT_EQ(decode_nak(out[0].payload).missing.size(), 2u);
+  EXPECT_EQ(decode<nak_msg>(out[0].payload).missing.size(), 2u);
   EXPECT_GT(f.rm->get_stats().naks_sent, 1u);
 }
 
@@ -160,14 +160,14 @@ TEST(rmcast_protocol, serves_retransmissions_from_send_buffer) {
   f.rm->broadcast(text_payload("keepme"));
   f.env.take_outbox();
   nak_msg nak;
-  nak.hdr = {msg_type::nak, 1, 2};  // node 2 asks
+  nak.hdr = {1, 2};  // node 2 asks
   nak.target_sender = 0;
   nak.missing = {1};
   f.rm->on_nak(nak);
   const auto out = f.env.take_outbox();
   ASSERT_EQ(out.size(), 1u);
   EXPECT_EQ(out[0].to, 2u);
-  const data_msg m = decode_data(out[0].payload);
+  const data_msg m = decode<data_msg>(out[0].payload);
   EXPECT_EQ(m.dgram_seq, 1u);
   EXPECT_EQ(f.rm->get_stats().retransmissions, 1u);
 }
@@ -179,14 +179,14 @@ TEST(rmcast_protocol, forwards_foreign_datagrams_from_retention) {
   f.receive(1, 1, 1, "kept");
   f.env.take_outbox();
   nak_msg nak;
-  nak.hdr = {msg_type::nak, 1, 2};
+  nak.hdr = {1, 2};
   nak.target_sender = 1;
   nak.missing = {1};
   f.rm->on_nak(nak);
   const auto out = f.env.take_outbox();
   ASSERT_EQ(out.size(), 1u);
   EXPECT_EQ(out[0].to, 2u);
-  const data_msg m = decode_data(out[0].payload);
+  const data_msg m = decode<data_msg>(out[0].payload);
   EXPECT_EQ(m.hdr.sender, 1u);  // original sender preserved
 }
 
@@ -239,7 +239,7 @@ TEST(rmcast_protocol, flush_reaches_cut_and_reports) {
   auto out = f.env.take_outbox();
   ASSERT_FALSE(out.empty());
   EXPECT_EQ(out[0].to, 2u);
-  const nak_msg nak = decode_nak(out[0].payload);
+  const nak_msg nak = decode<nak_msg>(out[0].payload);
   EXPECT_EQ(nak.target_sender, 1u);
   EXPECT_EQ(nak.missing, (std::vector<std::uint64_t>{2, 3}));
   f.receive(1, 2, 2, "b");
@@ -268,12 +268,16 @@ struct order_fixture {
   }
 };
 
+util::shared_bytes record_of(std::vector<assignment> entries) {
+  return encode(assignment_record{std::move(entries)});
+}
+
 TEST(total_order, non_sequencer_waits_for_assignments) {
   order_fixture f;
   f.to.set_sequencer(1);  // someone else
   f.to.on_user_msg(2, 1, text_payload("x"), 1);
   EXPECT_TRUE(f.delivered.empty());
-  f.to.on_assignments(encode_assignments({{2, 1, 1}}));
+  f.to.on_assignments(record_of({{2, 1, 1}}));
   ASSERT_EQ(f.delivered.size(), 1u);
   EXPECT_EQ(f.delivered[0].first, 1u);
 }
@@ -298,7 +302,7 @@ TEST(total_order, batch_flushes_at_size_threshold) {
     f.to.on_user_msg(1, i, text_payload("m"), i);
   // Full batch flushed without waiting for the timer.
   ASSERT_EQ(f.sent_batches.size(), 1u);
-  EXPECT_EQ(decode_assignments(f.sent_batches[0]).size(),
+  EXPECT_EQ(decode<assignment_record>(f.sent_batches[0]).entries.size(),
             f.cfg.sequencer_batch);
 }
 
@@ -308,7 +312,7 @@ TEST(total_order, delivery_strictly_follows_global_sequence) {
   f.to.on_user_msg(2, 1, text_payload("second"), 1);
   f.to.on_user_msg(1, 1, text_payload("first"), 1);
   // Assignments: (1,1)->1, (2,1)->2; payload for 2 arrived first.
-  f.to.on_assignments(encode_assignments({{1, 1, 1}, {2, 1, 2}}));
+  f.to.on_assignments(record_of({{1, 1, 1}, {2, 1, 2}}));
   ASSERT_EQ(f.delivered.size(), 2u);
   EXPECT_EQ(f.delivered[0].second, "first");
   EXPECT_EQ(f.delivered[1].second, "second");
@@ -317,7 +321,7 @@ TEST(total_order, delivery_strictly_follows_global_sequence) {
 TEST(total_order, missing_payload_stalls_subsequent_deliveries) {
   order_fixture f;
   f.to.set_sequencer(1);
-  f.to.on_assignments(encode_assignments({{1, 1, 1}, {2, 1, 2}}));
+  f.to.on_assignments(record_of({{1, 1, 1}, {2, 1, 2}}));
   f.to.on_user_msg(2, 1, text_payload("later"), 1);
   EXPECT_TRUE(f.delivered.empty());  // seq 1's payload still missing
   f.to.on_user_msg(1, 1, text_payload("now"), 1);
@@ -333,7 +337,7 @@ TEST(total_order, install_view_delivers_backlog_deterministically) {
     f.to.on_user_msg(1, 1, text_payload(std::string("u1") + tag), 5);
     f.to.on_user_msg(2, 1, text_payload("u2"), 3);
     // One wire-visible assignment for (2,1); (1,1) never got ordered.
-    f.to.on_assignments(encode_assignments({{2, 1, 1}}));
+    f.to.on_assignments(record_of({{2, 1, 1}}));
     // Old view {0,1,2} with cuts; sender 2 crashed; new view {0,1}.
     f.to.install_view({0, 1, 2}, {10, 10, 10}, {0, 1});
     std::vector<std::string> texts;
@@ -380,7 +384,7 @@ TEST(total_order, quiesce_holds_the_flush_until_view_install) {
   f.to.on_user_msg(1, 2, text_payload("next"), 2);
   f.env.advance(f.cfg.sequencer_flush + 1);
   ASSERT_EQ(f.sent_batches.size(), 1u);
-  const auto as = decode_assignments(f.sent_batches[0]);
+  const auto as = decode<assignment_record>(f.sent_batches[0]).entries;
   ASSERT_EQ(as.size(), 1u);
   EXPECT_EQ(as[0].global_seq, 3u);  // continues past the two delivered
 }
@@ -418,7 +422,7 @@ TEST(total_order, view_change_rolls_back_the_open_batch) {
   to.on_user_msg(1, 2, text_payload("c"), 2);
   env.advance(cfg.batch_delay + 1);
   ASSERT_EQ(sent.size(), 1u);
-  EXPECT_EQ(decode_assignment_batch(sent[0]).base, 3u);  // numbering runs on
+  EXPECT_EQ(decode<assignment_batch>(sent[0]).base, 3u);  // numbering runs on
   to.on_assignment_batch(sent[0]);
   ASSERT_EQ(delivered.size(), 3u);
   EXPECT_EQ(delivered.back().first, 3u);
@@ -429,7 +433,7 @@ TEST(total_order, orphan_assignments_are_skipped_consistently) {
   order_fixture f;
   f.to.set_sequencer(2);
   // The crashed sequencer ordered a message nobody holds.
-  f.to.on_assignments(encode_assignments({{2, 9, 1}, {1, 1, 2}}));
+  f.to.on_assignments(record_of({{2, 9, 1}, {1, 1, 2}}));
   f.to.on_user_msg(1, 1, text_payload("real"), 4);
   // Only seq 1 is missing its payload; delivery stalls.
   EXPECT_TRUE(f.delivered.empty());

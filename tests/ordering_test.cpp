@@ -33,11 +33,11 @@ using test::fake_env;
 
 TEST(token_codec, round_trips_exactly) {
   gcs::token_msg t;
-  t.hdr = {gcs::msg_type::token, 42, 3};
+  t.hdr = {42, 3};
   t.token_seq = 17;
   t.next_assign = 0xdeadbeefcafeull;
   t.holder = 2;
-  const gcs::token_msg back = gcs::decode_token(gcs::encode(t));
+  const gcs::token_msg back = gcs::decode<gcs::token_msg>(gcs::encode(t));
   EXPECT_EQ(back.hdr.view_id, 42u);
   EXPECT_EQ(back.hdr.sender, 3u);
   EXPECT_EQ(back.token_seq, 17u);
@@ -47,8 +47,9 @@ TEST(token_codec, round_trips_exactly) {
 
 TEST(token_codec, header_peek_identifies_the_type) {
   gcs::token_msg t;
-  t.hdr = {gcs::msg_type::token, 7, 1};
-  EXPECT_EQ(gcs::decode_header(gcs::encode(t)).type, gcs::msg_type::token);
+  t.hdr = {7, 1};
+  EXPECT_EQ(gcs::decode<gcs::tagged_header>(gcs::encode(t)).type,
+            gcs::msg_type::token);
 }
 
 // ---------- token_order protocol unit tests (scripted fake env) ----------
@@ -88,7 +89,7 @@ struct token_fixture {
   static gcs::token_msg tok(std::uint64_t seq, std::uint64_t next_assign,
                             node_id holder, node_id sender = 2) {
     gcs::token_msg t;
-    t.hdr = {gcs::msg_type::token, 1, sender};
+    t.hdr = {1, sender};
     t.token_seq = seq;
     t.next_assign = next_assign;
     t.holder = holder;
@@ -117,7 +118,7 @@ TEST(token_order, holder_mints_own_pending_then_passes) {
   // and pass straight away — no idle wait.
   ASSERT_EQ(f.sent_mints.size(), 1u);
   const gcs::assignment_batch b =
-      gcs::decode_assignment_batch(f.sent_mints[0]);
+      gcs::decode<gcs::assignment_batch>(f.sent_mints[0]);
   EXPECT_EQ(b.base, 1u);
   ASSERT_EQ(b.keys.size(), 1u);
   EXPECT_EQ(b.keys[0].first, 0u);
@@ -197,7 +198,7 @@ TEST(token_order, token_returns_after_full_circulation) {
   // (sites 1 and 2 minted two records while they held it).
   f.to.on_token(token_fixture::tok(hop + 2, 5, 0));
   ASSERT_EQ(f.sent_mints.size(), 1u);
-  EXPECT_EQ(gcs::decode_assignment_batch(f.sent_mints[0]).base, 5u);
+  EXPECT_EQ(gcs::decode<gcs::assignment_batch>(f.sent_mints[0]).base, 5u);
 }
 
 TEST(token_order, quiesce_stops_minting_and_the_token_clock) {
