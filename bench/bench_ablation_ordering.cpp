@@ -1,26 +1,21 @@
-// Ablation: ordering protocol (gcs::ordering seam) — the paper's fixed
-// sequencer vs the leaderless rotating token, on an update-heavy KV mix
-// (YCSB-A), both legs under the online monitors and the off-line §5.3
-// safety check.
+// Ablation: the §5.3 sequencer bottleneck, measured at the protocol layer
+// on an update-heavy KV mix (YCSB-A) under the online monitors and the
+// off-line §5.3 safety check.
 //
-// The contended resource is the sequencer site's CPU (the §5.3
-// bottleneck): under fixed_sequencer one site mints and multicasts every
-// assignment record on top of its normal certify/apply work, so its
-// protocol-CPU figure stands out; under rotating_token each site mints
-// only its own keys while the token circulates, spreading that work
-// across the view. Reported per leg: committed throughput, abort rate,
-// cert-latency p95, the per-site protocol-CPU spread (max/min across
-// sites — the concentration signal), peak-site protocol CPU, token
-// control traffic, view changes, and the monitor verdict.
+// The contended resource is the sequencer site's CPU: under the fixed
+// sequencer one site mints and multicasts every assignment record on top
+// of its normal certify/apply work, so its protocol-CPU figure stands out.
+// Reported: committed throughput, abort rate, cert-latency p95, the
+// per-site protocol-CPU spread (max/min across sites — the concentration
+// signal), peak-site protocol CPU, view changes, and the monitor verdict.
 //
 //   $ ./bench_ablation_ordering [--clients N] [--txns N] [--csv out.csv]
 //                               [--json out.json] [--smoke]
 //
 // --json writes the machine-readable baseline (bench/BENCH_ordering.json);
-// --smoke runs both legs quickly and exits nonzero on a monitor or
-// safety violation, a nondeterministic rotating rerun, token traffic on
-// the fixed leg (or none on the rotating leg), or a rotating
-// protocol-CPU spread that is not tighter than the fixed one (CI wiring).
+// --smoke runs a quick point and exits nonzero on a monitor or safety
+// violation, or when the sequencer site's protocol CPU does not stand out
+// (spread <= 1) (CI wiring).
 #include <algorithm>
 #include <cstdio>
 
@@ -30,33 +25,6 @@
 
 using namespace dbsm;
 
-namespace {
-
-struct point_result {
-  gcs::ordering_kind ordering = gcs::ordering_kind::fixed_sequencer;
-  core::experiment_result res;
-  double peak_protocol_cpu = 0.0;
-  double spread = 0.0;  // max/min protocol CPU across sites
-  std::uint64_t token_ctl = 0;
-};
-
-point_result summarize(gcs::ordering_kind ord, core::experiment_result r) {
-  point_result p;
-  p.ordering = ord;
-  double lo = 1.0, hi = 0.0;
-  for (const core::site_report& s : r.sites) {
-    lo = std::min(lo, s.protocol_cpu);
-    hi = std::max(hi, s.protocol_cpu);
-    p.token_ctl += s.token_ctl_sent;
-  }
-  p.peak_protocol_cpu = hi;
-  p.spread = hi / std::max(lo, 1e-9);
-  p.res = std::move(r);
-  return p;
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
   util::flag_set flags;
   bench::declare_common_flags(flags);
@@ -65,134 +33,96 @@ int main(int argc, char** argv) {
   flags.declare("keys", "20000", "keyspace size");
   flags.declare("json", "", "optional JSON baseline output path");
   flags.declare("smoke", "false",
-                "CI mode: quick two-leg sweep + rotating rerun, nonzero "
-                "exit on a monitor/safety violation, nondeterminism, or "
-                "a rotating leg that does not spread protocol CPU");
+                "CI mode: quick point, nonzero exit on a monitor/safety "
+                "violation or a sequencer site whose protocol CPU does not "
+                "stand out");
   if (!flags.parse(argc, argv)) return 1;
-  const bool smoke = flags.get_bool("smoke");
-  const bool quick = smoke || flags.get_bool("quick");
+  const bool quick = flags.get_bool("smoke") || flags.get_bool("quick");
 
-  bool failed = false;
-  std::vector<point_result> points;
-  for (const gcs::ordering_kind ord :
-       {gcs::ordering_kind::fixed_sequencer,
-        gcs::ordering_kind::rotating_token}) {
-    core::experiment_config cfg = bench::paper_config();
-    cfg.clients = static_cast<unsigned>(flags.get_int("clients"));
-    bench::apply_common_flags(flags, cfg);
-    if (!flags.is_set("txns"))
-      cfg.target_responses = quick ? 6 * cfg.clients : 20 * cfg.clients;
-    // The protocol-bound regime (same profile as the batching ablation):
-    // light execution and a fast engine, so the ordering path — not the
-    // calibrated PIII commit CPU or the RAID — is the binding resource
-    // and the sequencer site's concentration is visible.
-    kv::kv_config k;
-    k.keys = static_cast<std::uint32_t>(flags.get_int("keys"));
-    k.preset = kv::mix::ycsb_a;
-    k.zipf_theta = 0.5;
-    k.value_bytes = 32;
-    k.cpu_per_op = util::constant_dist(20e-6);
-    k.think_time = util::exponential_dist(0.1);
-    cfg.workload = kv::factory(k);
-    cfg.replica_cfg.server.commit_cpu = microseconds(200);
-    cfg.replica_cfg.server.remote_apply_cpu = microseconds(100);
-    cfg.replica_cfg.server.storage.request_latency = microseconds(170);
-    cfg.gcs.ordering = ord;
+  core::experiment_config cfg = bench::paper_config();
+  cfg.clients = static_cast<unsigned>(flags.get_int("clients"));
+  bench::apply_common_flags(flags, cfg);
+  if (!flags.is_set("txns"))
+    cfg.target_responses = quick ? 6 * cfg.clients : 20 * cfg.clients;
+  // The protocol-bound regime (same profile as the batching ablation):
+  // light execution and a fast engine, so the ordering path — not the
+  // calibrated PIII commit CPU or the RAID — is the binding resource and
+  // the sequencer site's concentration is visible.
+  kv::kv_config k;
+  k.keys = static_cast<std::uint32_t>(flags.get_int("keys"));
+  k.preset = kv::mix::ycsb_a;
+  k.zipf_theta = 0.5;
+  k.value_bytes = 32;
+  k.cpu_per_op = util::constant_dist(20e-6);
+  k.think_time = util::exponential_dist(0.1);
+  cfg.workload = kv::factory(k);
+  cfg.replica_cfg.server.commit_cpu = microseconds(200);
+  cfg.replica_cfg.server.remote_apply_cpu = microseconds(100);
+  cfg.replica_cfg.server.storage.request_latency = microseconds(170);
 
-    const char* name = gcs::ordering_name(ord);
-    point_result p = summarize(
-        ord, bench::run_point(cfg, std::string("ordering ") + name));
-    if (smoke && ord == gcs::ordering_kind::rotating_token) {
-      // Same config, fresh cluster: the token path must be exactly
-      // reproducible (timer-driven passes included).
-      core::experiment_result rerun =
-          bench::run_point(cfg, "ordering rotating rerun");
-      if (rerun.commit_logs != p.res.commit_logs) {
-        std::fprintf(stderr,
-                     "[ordering] FAIL: rotating run not deterministic "
-                     "(rerun commit logs differ)\n");
-        failed = true;
-      }
-    }
-    points.push_back(std::move(p));
+  const char* name = "fixed_sequencer";
+  const core::experiment_result r =
+      bench::run_point(cfg, std::string("ordering ") + name);
+  double lo = 1.0, hi = 0.0;
+  for (const core::site_report& s : r.sites) {
+    lo = std::min(lo, s.protocol_cpu);
+    hi = std::max(hi, s.protocol_cpu);
   }
+  const double spread = hi / std::max(lo, 1e-9);
+  const double p95 =
+      r.cert_latency_ms.empty() ? 0.0 : r.cert_latency_ms.quantile(0.95);
 
+  const std::vector<std::string> row = {
+      name,
+      util::fmt(r.tpm(), 0),
+      util::fmt(r.stats.abort_rate_pct(), 2),
+      util::fmt(p95, 2),
+      util::fmt(100.0 * r.cpu_utilization, 1),
+      util::fmt(100.0 * hi, 1),
+      util::fmt(spread, 2),
+      util::fmt(r.view_changes)};
   util::text_table t;
   t.header({"Ordering", "tpm", "Abort %", "Cert p95 ms", "CPU %",
-            "Peak proto %", "Proto spread", "Token msgs", "Views",
-            "Safety", "Checks"});
+            "Peak proto %", "Proto spread", "Views", "Safety", "Checks"});
+  std::vector<std::string> shown = row;
+  shown.push_back(r.safety.ok ? "ok" : "VIOLATION");
+  shown.push_back(r.checks.ok ? "ok" : "VIOLATION");
+  t.row(shown);
   std::vector<std::vector<std::string>> csv_rows;
   csv_rows.push_back({"ordering", "tpm", "abort_pct", "cert_p95_ms",
                       "cpu_pct", "peak_protocol_cpu_pct",
-                      "protocol_cpu_spread", "token_ctl_sent",
-                      "view_changes", "safety_ok", "checks_ok"});
-  std::string json = "{\n  \"benchmark\": \"ordering_ablation\",\n"
-                     "  \"mix\": \"ycsb_a\",\n  \"points\": [\n";
-  for (std::size_t i = 0; i < points.size(); ++i) {
-    const point_result& p = points[i];
-    const char* name = gcs::ordering_name(p.ordering);
-    const double p95 = p.res.cert_latency_ms.empty()
-                           ? 0.0
-                           : p.res.cert_latency_ms.quantile(0.95);
-    if (!p.res.checks.ok || !p.res.safety.ok) {
-      std::fprintf(stderr, "[ordering] FAIL %s: %s\n", name,
-                   p.res.checks.summary().c_str());
-      failed = true;
-    }
-    t.row({name, util::fmt(p.res.tpm(), 0),
-           util::fmt(p.res.stats.abort_rate_pct(), 2), util::fmt(p95, 2),
-           util::fmt(100.0 * p.res.cpu_utilization, 1),
-           util::fmt(100.0 * p.peak_protocol_cpu, 1),
-           util::fmt(p.spread, 2), util::fmt(p.token_ctl),
-           util::fmt(p.res.view_changes),
-           p.res.safety.ok ? "ok" : "VIOLATION",
-           p.res.checks.ok ? "ok" : "VIOLATION"});
-    csv_rows.push_back({name, util::fmt(p.res.tpm(), 0),
-                        util::fmt(p.res.stats.abort_rate_pct(), 2),
-                        util::fmt(p95, 2),
-                        util::fmt(100.0 * p.res.cpu_utilization, 1),
-                        util::fmt(100.0 * p.peak_protocol_cpu, 1),
-                        util::fmt(p.spread, 2), util::fmt(p.token_ctl),
-                        util::fmt(p.res.view_changes),
-                        p.res.safety.ok ? "1" : "0",
-                        p.res.checks.ok ? "1" : "0"});
-    json += std::string("    {\"ordering\": \"") + name + "\"" +
-            ", \"tpm\": " + util::fmt(p.res.tpm(), 0) +
-            ", \"abort_pct\": " + util::fmt(p.res.stats.abort_rate_pct(), 2) +
-            ", \"cert_p95_ms\": " + util::fmt(p95, 2) +
-            ", \"cpu_pct\": " + util::fmt(100.0 * p.res.cpu_utilization, 1) +
-            ", \"peak_protocol_cpu_pct\": " +
-            util::fmt(100.0 * p.peak_protocol_cpu, 1) +
-            ", \"protocol_cpu_spread\": " + util::fmt(p.spread, 2) +
-            ", \"token_ctl_sent\": " + util::fmt(p.token_ctl) +
-            ", \"view_changes\": " + util::fmt(p.res.view_changes) +
-            ", \"safety_ok\": " + (p.res.safety.ok ? "true" : "false") +
-            ", \"checks_ok\": " + (p.res.checks.ok ? "true" : "false") +
-            "}" + (i + 1 < points.size() ? "," : "") + "\n";
-  }
-  json += "  ]\n}\n";
+                      "protocol_cpu_spread", "view_changes", "safety_ok",
+                      "checks_ok"});
+  std::vector<std::string> csv_row = row;
+  csv_row.push_back(r.safety.ok ? "1" : "0");
+  csv_row.push_back(r.checks.ok ? "1" : "0");
+  csv_rows.push_back(csv_row);
+  const std::string json =
+      std::string("{\n  \"benchmark\": \"ordering_ablation\",\n"
+                  "  \"mix\": \"ycsb_a\",\n  \"points\": [\n") +
+      "    {\"ordering\": \"" + name + "\"" +
+      ", \"tpm\": " + row[1] + ", \"abort_pct\": " + row[2] +
+      ", \"cert_p95_ms\": " + row[3] + ", \"cpu_pct\": " + row[4] +
+      ", \"peak_protocol_cpu_pct\": " + row[5] +
+      ", \"protocol_cpu_spread\": " + row[6] +
+      ", \"view_changes\": " + row[7] +
+      ", \"safety_ok\": " + (r.safety.ok ? "true" : "false") +
+      ", \"checks_ok\": " + (r.checks.ok ? "true" : "false") + "}\n" +
+      "  ]\n}\n";
 
-  // The ordering-specific gates (run in every mode; the simulation is
-  // deterministic, so these are real signals, not noise).
-  const point_result& fixed = points[0];
-  const point_result& token = points[1];
-  if (fixed.token_ctl != 0) {
-    std::fprintf(stderr, "[ordering] FAIL: fixed leg sent %llu token "
-                         "datagrams (must be 0)\n",
-                 static_cast<unsigned long long>(fixed.token_ctl));
+  // The gates run in every mode; the simulation is deterministic, so
+  // these are real signals, not noise.
+  bool failed = false;
+  if (!r.checks.ok || !r.safety.ok) {
+    std::fprintf(stderr, "[ordering] FAIL %s: %s\n", name,
+                 r.checks.summary().c_str());
     failed = true;
   }
-  if (token.token_ctl == 0) {
+  if (spread <= 1.0) {
     std::fprintf(stderr,
-                 "[ordering] FAIL: rotating leg sent no token datagrams\n");
-    failed = true;
-  }
-  if (token.spread >= fixed.spread) {
-    std::fprintf(stderr,
-                 "[ordering] FAIL: rotating protocol-CPU spread %.3f not "
-                 "tighter than fixed %.3f — the token is not spreading "
-                 "the sequencer's work\n",
-                 token.spread, fixed.spread);
+                 "[ordering] FAIL: protocol-CPU spread %.3f — the sequencer "
+                 "site does not carry the ordering work\n",
+                 spread);
     failed = true;
   }
 

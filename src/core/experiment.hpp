@@ -138,13 +138,14 @@ struct site_report {
   /// Peak certified-but-not-installed backlog in the hand-off queue.
   std::uint64_t pipeline_high_water = 0;
 
-  // Ordering-protocol accounting (gcs/ordering.hpp seam).
+  // Ordering-protocol accounting.
   /// Busy fraction of this site's CPU spent in real protocol code. Under
   /// the fixed sequencer the minting site's figure stands out (the §5.3
-  /// bottleneck); the rotating token spreads it — the contention signal
-  /// bench_ablation_ordering compares.
+  /// bottleneck) — the concentration bench_ablation_ordering reports.
   double protocol_cpu = 0.0;
-  /// Token control datagrams this site multicast (rotating token only).
+  /// Read-only shim, always 0: it counted the control datagrams of a
+  /// token-passing orderer that no longer exists. Kept because the
+  /// benchmark harness (perfbench/src/traced.cpp) still assigns it.
   std::uint64_t token_ctl_sent = 0;
 };
 

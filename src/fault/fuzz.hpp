@@ -24,7 +24,6 @@
 
 #include "check/check.hpp"
 #include "fault/fault.hpp"
-#include "gcs/config.hpp"
 
 namespace dbsm::fault::fuzz {
 
@@ -109,11 +108,6 @@ struct config {
   /// timelines for a given (seed, cfg) are unchanged, so the same corpus
   /// replays against the batched and the serial hot path.
   std::size_t batch_max = 1;
-  /// Total-order protocol for each run (gcs::group_config::ordering).
-  /// Only run_spec() consults it — generated timelines for a given
-  /// (seed, cfg) are unchanged, so the same corpus replays against the
-  /// fixed sequencer and the rotating token.
-  gcs::ordering_kind ordering = gcs::ordering_kind::fixed_sequencer;
   /// Monitor configuration for each run.
   check::config checks;
   /// Maximum experiment re-runs shrink() may spend.

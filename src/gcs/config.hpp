@@ -1,4 +1,6 @@
-// Tunables of the group communication prototype (§3.4).
+// Tunables of the group communication prototype (§3.4). The group runs
+// one total-order protocol, the fixed sequencer (gcs/sequencer.hpp), so
+// there is no protocol selector: only its batching knobs appear here.
 #ifndef DBSM_GCS_CONFIG_HPP
 #define DBSM_GCS_CONFIG_HPP
 
@@ -8,22 +10,6 @@
 #include "util/types.hpp"
 
 namespace dbsm::gcs {
-
-/// Which total-order protocol the group runs (gcs/ordering.hpp seam).
-enum class ordering_kind : std::uint8_t {
-  /// §3.4 fixed sequencer: the lowest-id view member mints every global
-  /// sequence (gcs/sequencer.hpp). The default — byte-identical to the
-  /// historical protocol and its seed-7 anchors.
-  fixed_sequencer = 0,
-  /// Leaderless rotating token: a token circulates the view in site-id
-  /// order; the holder mints the next run of global sequences for its own
-  /// pending messages, then passes the token on (gcs/token_order.hpp).
-  /// Token loss (holder crash, partition) is recovered at view change by
-  /// deterministic regeneration.
-  rotating_token = 1,
-};
-
-const char* ordering_name(ordering_kind k);
 
 struct group_config {
   /// Static initial membership (node ids on the transport).
@@ -74,29 +60,11 @@ struct group_config {
   /// in real configurations.
   bool unsafe_no_primary_partition = false;
 
-  // --- total order ---
-  /// Ordering-protocol selection (the gcs/ordering.hpp seam). The default
-  /// fixed sequencer reproduces the historical protocol byte-for-byte;
-  /// every implementation must pass tests/ordering_test.cpp — the same
-  /// fault catalog, campaigns, and online monitors — before it ships.
-  ordering_kind ordering = ordering_kind::fixed_sequencer;
-
   // --- total order (fixed sequencer) ---
   /// Assignments accumulated before the sequencer flushes a SEQ message
   /// (a timer flushes earlier ones).
   std::size_t sequencer_batch = 16;
   sim_duration sequencer_flush = microseconds(500);
-
-  // --- total order (rotating token) ---
-  /// How long an idle token holder (nothing of its own to order) keeps the
-  /// token before passing it on. Bounds the token's idle circulation rate
-  /// (one hop per delay) and the extra ordering latency a busy site sees
-  /// while the token sits at an idle one.
-  sim_duration token_idle_delay = milliseconds(1);
-  /// A passer re-multicasts its token until it observes a higher token
-  /// sequence (the successor passed it on) or a view change regenerates
-  /// the token; this is the retransmission cadence.
-  sim_duration token_retry = milliseconds(25);
 
   // --- batch atomic broadcast (off by default) ---
   /// When > 1 the sequencer mints one *batch* assignment record covering

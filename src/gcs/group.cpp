@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "gcs/sequencer.hpp"
 #include "util/check.hpp"
 #include "util/log.hpp"
 
@@ -81,7 +82,7 @@ void group::build_stack(const view& v, std::uint64_t delivered) {
     on_app_msg(sender, app_seq, std::move(payload), last_dgram);
   });
 
-  order_ = make_ordering(env_, cfg_);
+  order_ = std::make_unique<total_order>(env_, cfg_);
   if (delivered > 0) order_->start_at(delivered + 1);
   order_->set_deliver_run([this](std::vector<delivery>&& run) {
     // Strip the kind byte; hand the user payloads up (and, when donating a
@@ -99,18 +100,6 @@ void group::build_stack(const view& v, std::uint64_t delivered) {
   });
   order_->set_send_batch([this](util::shared_bytes batch) {
     rmcast_->broadcast(wrap(kind_assignment_batch, batch));
-  });
-  order_->set_send_token([this](std::uint64_t token_seq,
-                                std::uint64_t next_assign, node_id holder) {
-    // Raw control plane like heartbeats: loss is covered by the passer's
-    // retransmission and, terminally, by regeneration at the next view.
-    token_msg t;
-    t.hdr = {membership_->current().id, env_.self()};
-    t.token_seq = token_seq;
-    t.next_assign = next_assign;
-    t.holder = holder;
-    ++token_ctl_sent_;
-    env_.multicast(encode(t));
   });
   order_->set_roles(v.members, v.sequencer());
 
@@ -249,15 +238,11 @@ void group::on_app_msg(node_id sender, std::uint64_t app_seq,
       order_->on_user_msg(sender, app_seq, std::move(payload), last_dgram);
       break;
     case kind_assignments:
-    case kind_assignment_batch: {
-      auto body = std::make_shared<util::bytes>(payload->begin() + 1,
-                                                payload->end());
-      if (kind == kind_assignments)
-        order_->on_assignments(body);
-      else
-        order_->on_assignment_batch(body);
+      order_->on_assignments(decode<assignment_record>(payload, 1));
       break;
-    }
+    case kind_assignment_batch:
+      order_->on_assignment_batch(decode<assignment_batch>(payload, 1));
+      break;
     default:
       DBSM_CHECK_MSG(false, "unknown app message kind "
                                 << static_cast<int>(kind));
@@ -268,6 +253,10 @@ void group::dispatch(node_id from, util::shared_bytes raw) {
   if (stopped_ || raw->size() < 9) return;
   env_.charge(cfg_.handler_cpu_cost);
   const tagged_header head = decode<tagged_header>(raw);
+  // A tag that names no datagram type says nothing about its header
+  // either: believing its view id could make membership infer a missed
+  // exclusion and stall this member.
+  if (!known(head.type)) return;
   if (joining_) {
     // A recovering site runs nothing but the join protocol: the rest of
     // the stack is rebuilt when the merged view installs.
@@ -355,17 +344,6 @@ void group::dispatch(node_id from, util::shared_bytes raw) {
     case msg_type::join_fwd:
     case msg_type::join_commit:
       break;  // stale join traffic to a live member
-    case msg_type::token:
-      // Rotating-token ordering control. Tokens of other views are dead —
-      // every install regenerates the token at the new lead — and during
-      // a view change the membership barrier holds the token clock still:
-      // a hop accepted mid-flush could mint assignments that breach view
-      // synchrony.
-      if (head.hdr.view_id == membership_->current().id &&
-          !membership_->barrier_active()) {
-        order_->on_token(decode<token_msg>(raw));
-      }
-      break;
   }
   (void)from;
 }
@@ -461,9 +439,16 @@ void group::do_install(const view& v,
   rmcast_->install_view(v.members);
   rmcast_->set_view_id(v.id);
 
-  // Deterministic delivery of the flushed backlog, then the new roles
-  // (sequencer takeover / token regeneration at the new lead).
+  // Deterministic delivery of the flushed backlog, then the view
+  // announcement, then the new roles. The order matters: a continuing
+  // sequencer mints at once in set_roles() for messages that completed
+  // during the flush, and reliable_mcast hands the local copy of that
+  // record up immediately. Announcing the view first makes the payload it
+  // orders land after the view event here as at every other member (view
+  // synchrony). The read lease is thus granted before reset_uniform()
+  // below, but in this same job, so no read can observe the gap.
   order_->install_view(old_members, cut, v.members);
+  if (view_cb_) view_cb_(v);
   order_->set_roles(v.members, v.sequencer());
 
   // Everything up to the cut is at every survivor: it is stable by
@@ -481,7 +466,6 @@ void group::do_install(const view& v,
   rmcast_->collect_garbage(stable_init);
   fd_->reset(v.members, env_.now());
   rmcast_->resume_sending();
-  if (view_cb_) view_cb_(v);
 }
 
 void group::rebuild_for_merge(const view& v, std::uint64_t delivered,

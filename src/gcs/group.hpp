@@ -2,8 +2,8 @@
 // multicast as used by the DBSM termination protocol.
 //
 // Wires together the reliable multicast layer, gossip stability detection,
-// the configured total-order protocol (the gcs/ordering.hpp seam: fixed
-// sequencer or rotating token), heartbeat failure detection, and
+// the fixed-sequencer total order (gcs/sequencer.hpp, behind the
+// gcs/ordering.hpp seam), heartbeat failure detection, and
 // view-change membership — the full §3.4 stack — on top of the env
 // abstraction, so the identical protocol code runs simulated (sim_env) or
 // on real sockets (native_env).
@@ -123,9 +123,10 @@ class group {
   std::uint64_t join_snapshot_bytes() const;
   /// join_chunk payload bytes sent (retransmissions included).
   std::uint64_t join_chunk_bytes() const;
-  /// Token control datagrams multicast by this node (rotating-token
-  /// ordering only; passes and retransmissions).
-  std::uint64_t token_ctl_sent() const { return token_ctl_sent_; }
+  /// Read-only shim, always 0: it counted the control datagrams of a
+  /// token-passing orderer that no longer exists. Kept because the
+  /// benchmark harness (perfbench/src/traced.cpp) still reads it.
+  std::uint64_t token_ctl_sent() const { return 0; }
 
  private:
   static constexpr std::uint8_t kind_user = 0;
@@ -182,7 +183,6 @@ class group {
 
   std::deque<uniform_sample> uniform_ring_;
   std::uint64_t uniform_ = 0;
-  std::uint64_t token_ctl_sent_ = 0;
 
   bool started_ = false;
   bool stopped_ = false;

@@ -3,21 +3,9 @@
 #include <algorithm>
 #include <utility>
 
-#include "gcs/sequencer.hpp"
-#include "gcs/token_order.hpp"
 #include "util/check.hpp"
 
 namespace dbsm::gcs {
-
-const char* ordering_name(ordering_kind k) {
-  switch (k) {
-    case ordering_kind::fixed_sequencer:
-      return "fixed_sequencer";
-    case ordering_kind::rotating_token:
-      return "rotating_token";
-  }
-  return "?";
-}
 
 ordering::ordering(csrt::env& env, const group_config& cfg)
     : env_(env), cfg_(cfg) {}
@@ -35,8 +23,6 @@ void ordering::quiesce() { quiesced_ = true; }
 
 void ordering::halt_delivery() { halted_ = true; }
 
-void ordering::on_token(const token_msg&) {}
-
 void ordering::on_user_msg(node_id sender, std::uint64_t app_seq,
                            util::shared_bytes payload,
                            std::uint64_t last_dgram) {
@@ -46,8 +32,8 @@ void ordering::on_user_msg(node_id sender, std::uint64_t app_seq,
   try_deliver();
 }
 
-void ordering::on_assignments(const util::shared_bytes& batch) {
-  for (const assignment& a : decode<assignment_record>(batch).entries) {
+void ordering::on_assignments(const assignment_record& record) {
+  for (const assignment& a : record.entries) {
     const msg_key key{a.sender, a.app_seq};
     order_.emplace(a.global_seq, key);
     assigned_.insert(key);
@@ -56,10 +42,9 @@ void ordering::on_assignments(const util::shared_bytes& batch) {
   try_deliver();
 }
 
-void ordering::on_assignment_batch(const util::shared_bytes& raw) {
-  const auto b = decode<assignment_batch>(raw);
-  std::uint64_t seq = b.base;
-  for (const auto& [sender, app_seq] : b.keys) {
+void ordering::on_assignment_batch(const assignment_batch& batch) {
+  std::uint64_t seq = batch.base;
+  for (const auto& [sender, app_seq] : batch.keys) {
     const msg_key key{sender, app_seq};
     order_.emplace(seq, key);
     assigned_.insert(key);
@@ -169,18 +154,6 @@ void ordering::install_view(const std::vector<node_id>& old_members,
   // Renumber: the new minter continues after everything delivered.
   next_assign_ = std::max(last_assigned + 1, next_deliver_);
   post_install(new_members);
-}
-
-std::unique_ptr<ordering> make_ordering(csrt::env& env,
-                                        const group_config& cfg) {
-  switch (cfg.ordering) {
-    case ordering_kind::fixed_sequencer:
-      return std::make_unique<total_order>(env, cfg);
-    case ordering_kind::rotating_token:
-      return std::make_unique<token_order>(env, cfg);
-  }
-  DBSM_CHECK_MSG(false, "unknown ordering kind");
-  return nullptr;
 }
 
 }  // namespace dbsm::gcs

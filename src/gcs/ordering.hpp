@@ -1,15 +1,16 @@
-// The ordering-protocol seam: every total-order implementation the group
-// can run derives from gcs::ordering, which owns the protocol-independent
-// machinery — the complete-message buffer, the global-sequence assignment
-// index, contiguous delivery, and the deterministic view-change delivery
-// algorithm (drop dead senders beyond the cut, deliver surviving
+// The ordering-protocol seam: gcs::ordering owns the protocol-independent
+// half of total order — the complete-message buffer, the global-sequence
+// assignment index, contiguous delivery, and the deterministic view-change
+// delivery algorithm (drop dead senders beyond the cut, deliver surviving
 // assignments, skip orphans, deliver complete-but-unassigned messages in
-// key order). Implementations differ only in WHO mints assignments and
-// WHEN: the §3.4 fixed sequencer (gcs/sequencer.hpp, the default) and the
-// leaderless rotating token (gcs/token_order.hpp).
+// key order). An implementation decides only WHO mints assignments and
+// WHEN. The one implementation is the §3.4 fixed sequencer
+// (gcs/sequencer.hpp), which the group constructs directly; the seam is
+// kept so that a later orderer can replace it without touching the
+// buffering and view-change machinery.
 //
-// Interface contract (enforced by tests/ordering_test.cpp, the
-// cross-ordering differential conformance suite):
+// Interface contract (held by tests/ordering_test.cpp: the seed-7 anchors
+// and the full fault catalog under the online monitors):
 //   * assignments are disseminated through reliable multicast streams and
 //     take effect only when wire-visible (self-delivery included), so
 //     view-change flushes agree at every survivor;
@@ -28,7 +29,6 @@
 
 #include <functional>
 #include <map>
-#include <memory>
 #include <set>
 #include <tuple>
 #include <utility>
@@ -63,11 +63,10 @@ struct assignment_record {
   }
 };
 
-/// Batch assignment record (group_config::batch_max > 1, and the rotating
-/// token's native mint record): one base global sequence plus the
-/// (sender, app_seq) keys it covers, in minting order — key i gets global
-/// sequence base + i. 12 bytes per payload instead of 20, and one wire
-/// record (and one handler charge) per batch.
+/// Batch assignment record (group_config::batch_max > 1): one base global
+/// sequence plus the (sender, app_seq) keys it covers, in minting order —
+/// key i gets global sequence base + i. 12 bytes per payload instead of
+/// 20, and one wire record (and one handler charge) per batch.
 struct assignment_batch {
   std::uint64_t base = 0;
   std::vector<std::pair<node_id, std::uint64_t>> keys;
@@ -94,11 +93,6 @@ class ordering {
   /// the group facade, which wraps and reliably multicasts them).
   using send_assignments_fn =
       std::function<void(util::shared_bytes batch)>;
-  /// Rotating token only: multicasts the token datagram naming the next
-  /// holder (raw control plane, outside the reliable streams).
-  using send_token_fn = std::function<void(std::uint64_t token_seq,
-                                           std::uint64_t next_assign,
-                                           node_id next_holder)>;
 
   ordering(csrt::env& env, const group_config& cfg);
   virtual ~ordering();
@@ -123,14 +117,9 @@ class ordering {
   void set_send_batch(send_assignments_fn fn) {
     send_batch_ = std::move(fn);
   }
-  /// Token dissemination (rotating token only; a fixed sequencer never
-  /// calls it).
-  void set_send_token(send_token_fn fn) { send_token_ = std::move(fn); }
-
   /// Updates the protocol's roles from the freshly installed member list
   /// (at start and at every view change/stack rebuild). The fixed
-  /// sequencer adopts `lead` as the minting site; the rotating token
-  /// deterministically regenerates the token at `lead`. Implementations
+  /// sequencer adopts `lead` as the minting site. Implementations
   /// must (re)assign every complete-but-unordered message this node is
   /// responsible for — including ones that arrived while ordering was
   /// quiesced for a view change.
@@ -144,7 +133,7 @@ class ordering {
   /// stopped) yet never reach the other members before they install —
   /// delivering it in this view at one site only breaks view synchrony.
   /// Received traffic still buffers and within-cut delivery continues.
-  virtual void quiesce();
+  void quiesce();
 
   /// Terminal delivery stop: this node learned it was excluded from the
   /// next view. View synchrony forbids delivering in a view one is not a
@@ -157,15 +146,12 @@ class ordering {
   void on_user_msg(node_id sender, std::uint64_t app_seq,
                    util::shared_bytes payload, std::uint64_t last_dgram);
 
-  /// Assignment batch from the reliable layer.
-  void on_assignments(const util::shared_bytes& batch);
+  /// Assignment record from the reliable layer, decoded by the group.
+  void on_assignments(const assignment_record& record);
 
-  /// Batch assignment record from the reliable layer.
-  void on_assignment_batch(const util::shared_bytes& raw);
-
-  /// Token datagram from the control plane (rotating token only; the
-  /// group gates it on view id and the membership barrier first).
-  virtual void on_token(const token_msg& t);
+  /// Batch assignment record from the reliable layer, decoded by the
+  /// group.
+  void on_assignment_batch(const assignment_batch& batch);
 
   /// View change: removes state of failed senders beyond the cut and
   /// deterministically delivers what remains (identically at every
@@ -215,7 +201,6 @@ class ordering {
   deliver_run_fn deliver_run_;
   send_assignments_fn send_assignments_;
   send_assignments_fn send_batch_;
-  send_token_fn send_token_;
 
   bool quiesced_ = false;  // view change in progress: no new assignments
   bool halted_ = false;    // excluded from the group: no more delivery
@@ -226,10 +211,6 @@ class ordering {
   std::uint64_t next_deliver_ = 1;
   std::uint64_t next_assign_ = 1;
 };
-
-/// Instantiates the configured ordering protocol (cfg.ordering).
-std::unique_ptr<ordering> make_ordering(csrt::env& env,
-                                        const group_config& cfg);
 
 }  // namespace dbsm::gcs
 

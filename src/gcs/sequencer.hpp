@@ -10,8 +10,8 @@
 // the sequencer multicast far more than anyone else, which is precisely the
 // §5.3 bottleneck the paper diagnoses.
 //
-// This is the default implementation of the gcs::ordering seam
-// (gcs/ordering.hpp); the leaderless alternative is gcs/token_order.hpp.
+// This is the one implementation of the gcs::ordering seam
+// (gcs/ordering.hpp); gcs::group constructs it directly.
 #ifndef DBSM_GCS_SEQUENCER_HPP
 #define DBSM_GCS_SEQUENCER_HPP
 

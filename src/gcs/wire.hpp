@@ -52,9 +52,14 @@ enum class msg_type : std::uint8_t {
   join_fwd_ack = 14,
   join_commit = 15,
   join_done = 16,
-  // Rotating-token total order (gcs/token_order.hpp).
-  token = 17,
 };
+
+/// True iff `t` names a datagram type above (the tags are contiguous, so
+/// a new type moves the upper bound). group::dispatch drops any other tag
+/// before a single header field is believed.
+constexpr bool known(msg_type t) {
+  return t >= msg_type::data && t <= msg_type::join_done;
+}
 
 /// Carried by every datagram after its type tag.
 struct header {
@@ -299,27 +304,6 @@ struct join_done_msg {
   }
 };
 
-/// Rotating-token total order (gcs/token_order.hpp): the passer multicasts
-/// the token naming the next holder. Raw control plane like heartbeats —
-/// not part of any reliable stream; loss is covered by the passer's
-/// retransmission (token_retry) and, terminally, by deterministic token
-/// regeneration at the next view install. `token_seq` counts completed
-/// hops within the view (receivers deduplicate on it); `next_assign` is
-/// the first unminted global sequence, carried so the new holder continues
-/// the numbering even if it has not yet received the passer's last
-/// assignment record.
-struct token_msg {
-  static constexpr msg_type type = msg_type::token;
-  header hdr;
-  std::uint64_t token_seq = 0;
-  std::uint64_t next_assign = 1;
-  node_id holder = 0;
-
-  template <class S> static auto fields(S& m) {
-    return std::tie(m.token_seq, m.next_assign, m.holder);
-  }
-};
-
 // --- the codec ---
 
 namespace codec {
@@ -454,11 +438,14 @@ util::shared_bytes encode(const M& m) {
   return w.take();
 }
 
-/// Decodes a message or record; throws dbsm::invariant_violation on
-/// malformed input (wrong type tag, truncation, inconsistent sizes).
+/// Decodes a message or record that starts `offset` bytes into `raw`
+/// (in place: a record wrapped behind a kind byte is read at offset 1,
+/// not copied out first); throws dbsm::invariant_violation on malformed
+/// input (wrong type tag, truncation, inconsistent sizes).
 template <codec::record M>
-M decode(const util::shared_bytes& raw) {
-  util::buffer_reader r(raw);
+M decode(const util::shared_bytes& raw, std::size_t offset = 0) {
+  DBSM_CHECK(raw != nullptr && offset <= raw->size());
+  util::buffer_reader r(raw->data() + offset, raw->size() - offset);
   M m;
   codec::get(r, m);
   return m;

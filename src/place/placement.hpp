@@ -35,7 +35,7 @@ namespace dbsm::place {
 
 enum class strategy : std::uint8_t {
   full = 0,         // every site replicates every granule
-  round_robin = 1,  // replica set = k consecutive sites from a rotating base
+  round_robin = 1,  // replica set = k consecutive sites from a per-granule base
   hashed = 2,       // replica set = k consecutive sites from a hashed base
 };
 

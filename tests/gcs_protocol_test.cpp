@@ -268,8 +268,8 @@ struct order_fixture {
   }
 };
 
-util::shared_bytes record_of(std::vector<assignment> entries) {
-  return encode(assignment_record{std::move(entries)});
+assignment_record record_of(std::vector<assignment> entries) {
+  return assignment_record{std::move(entries)};
 }
 
 TEST(total_order, non_sequencer_waits_for_assignments) {
@@ -291,7 +291,7 @@ TEST(total_order, sequencer_assignments_take_effect_via_wire_echo) {
   f.env.advance(f.cfg.sequencer_flush + 1);
   ASSERT_EQ(f.sent_batches.size(), 1u);
   EXPECT_TRUE(f.delivered.empty());
-  f.to.on_assignments(f.sent_batches[0]);
+  f.to.on_assignments(decode<assignment_record>(f.sent_batches[0]));
   ASSERT_EQ(f.delivered.size(), 1u);
 }
 
@@ -423,7 +423,7 @@ TEST(total_order, view_change_rolls_back_the_open_batch) {
   env.advance(cfg.batch_delay + 1);
   ASSERT_EQ(sent.size(), 1u);
   EXPECT_EQ(decode<assignment_batch>(sent[0]).base, 3u);  // numbering runs on
-  to.on_assignment_batch(sent[0]);
+  to.on_assignment_batch(decode<assignment_batch>(sent[0]));
   ASSERT_EQ(delivered.size(), 3u);
   EXPECT_EQ(delivered.back().first, 3u);
   EXPECT_EQ(delivered.back().second, "c");

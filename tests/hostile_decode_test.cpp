@@ -2,13 +2,16 @@
 // real UDP sockets (csrt/native_env) and cert::decode_txn parses whatever
 // the group delivers, so a length or count field claiming more than the
 // buffer holds must be rejected with invariant_violation before anything
-// is allocated for it — not zero-fill gigabytes, not throw bad_alloc.
+// is allocated for it — not zero-fill gigabytes, not throw bad_alloc. And
+// a datagram whose type tag names no format must not be read at all.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <string>
 
 #include "cert/txn_codec.hpp"
+#include "fake_env.hpp"
+#include "gcs/group.hpp"
 #include "gcs/wire.hpp"
 #include "util/check.hpp"
 
@@ -55,6 +58,40 @@ TEST(hostile_wire, encode_refuses_counts_the_u16_cannot_carry) {
   gcs::nak_msg m;
   m.missing.assign(0x10000, 1);
   EXPECT_THROW(gcs::encode(m), invariant_violation);
+}
+
+/// A bare 9-byte datagram: `tag`, then a header from site 1 naming view
+/// 99, a view the receiving member never installed.
+util::shared_bytes bare_header(std::uint8_t tag) {
+  util::buffer_writer w;
+  w.put_u8(tag);
+  w.put_u32(99);  // view id
+  w.put_u32(1);   // sender
+  return w.take();
+}
+
+/// Delivers bare_header(tag) to a live member of {0, 1, 2}; true iff the
+/// member concluded it was voted out (and stalled).
+bool excluded_by(std::uint8_t tag) {
+  test::fake_env env{0, {0, 1, 2}};
+  gcs::group_config cfg;
+  cfg.members = {0, 1, 2};
+  gcs::group g{env, cfg};
+  bool excluded = false;
+  g.set_excluded_handler([&] { excluded = true; });
+  g.start();
+  env.deliver(1, bare_header(tag));
+  return excluded;
+}
+
+TEST(hostile_dispatch, unknown_type_tags_are_dropped_before_the_header) {
+  // Believing the view id of a tag that names no format (0, the retired
+  // 17, 18-255) would make membership infer a missed exclusion.
+  for (const int tag : {0, 17, 18, 200, 255}) {
+    EXPECT_FALSE(excluded_by(static_cast<std::uint8_t>(tag))) << tag;
+  }
+  // The same header under a known tag (heartbeat) does reveal one.
+  EXPECT_TRUE(excluded_by(static_cast<std::uint8_t>(gcs::msg_type::heartbeat)));
 }
 
 /// A 40-byte txn buffer whose read-set (or write-set) count is 2^32-1.

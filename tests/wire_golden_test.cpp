@@ -1,10 +1,12 @@
 // Golden bytes of every GCS wire format: one fixed instance of each of the
-// 17 datagram types (the heartbeat with and without its trailing high
+// 16 datagram types (the heartbeat with and without its trailing high
 // water) and of both assignment records, encoded and compared with hex
 // pinned from the hand-written codec the schema-driven one replaced. Then
 // each encoding must decode and re-encode to the same bytes, and every
 // strict prefix of it must either decode or throw invariant_violation —
-// the same gcs/ code parses datagrams off real UDP sockets.
+// read from the start of a buffer and, as the group reads assignment
+// records, at offset 1 behind a kind byte. The same gcs/ code parses
+// datagrams off real UDP sockets.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -36,15 +38,19 @@ std::string hex(const util::bytes& b) {
 struct golden_case {
   std::string name;
   util::shared_bytes raw;
-  /// Decodes a datagram and encodes the result again.
-  std::function<util::shared_bytes(const util::shared_bytes&)> reencode;
+  /// Decodes the encoding that starts `offset` bytes into a buffer and
+  /// encodes the result again.
+  std::function<util::shared_bytes(const util::shared_bytes&, std::size_t)>
+      reencode;
   std::string expected_hex;
 };
 
 template <class M>
 golden_case make_case(std::string name, const M& m, std::string expected) {
   return {std::move(name), encode(m),
-          [](const util::shared_bytes& raw) { return encode(decode<M>(raw)); },
+          [](const util::shared_bytes& raw, std::size_t offset) {
+            return encode(decode<M>(raw, offset));
+          },
           std::move(expected)};
 }
 
@@ -214,17 +220,6 @@ std::vector<golden_case> all_cases() {
                               "1004030201050000000300000000000000"));
   }
   {
-    token_msg m;
-    m.hdr = hdr;
-    m.token_seq = 17;
-    m.next_assign = 0xdeadbeefcafeull;
-    m.holder = 2;
-    cases.push_back(make_case(
-        "token", m,
-        "11040302010500000011000000000000"
-        "00fecaefbeadde000002000000"));
-  }
-  {
     assignment_record r;
     r.entries = {{1, 10, 100}, {2, 20, 101}};
     cases.push_back(make_case(
@@ -251,25 +246,37 @@ TEST(wire_golden, every_format_encodes_to_its_pinned_bytes) {
   }
 }
 
+/// `bytes` behind one leading kind byte, as the group wraps a record.
+util::shared_bytes behind_kind_byte(const util::bytes& bytes) {
+  auto out = std::make_shared<util::bytes>(1, 0x7f);
+  out->insert(out->end(), bytes.begin(), bytes.end());
+  return out;
+}
+
 TEST(wire_golden, decode_then_encode_reproduces_the_bytes) {
   for (const golden_case& c : all_cases()) {
     SCOPED_TRACE(c.name);
-    EXPECT_EQ(hex(*c.reencode(c.raw)), hex(*c.raw));
+    EXPECT_EQ(hex(*c.reencode(c.raw, 0)), hex(*c.raw));
+    EXPECT_EQ(hex(*c.reencode(behind_kind_byte(*c.raw), 1)), hex(*c.raw));
   }
 }
 
 TEST(wire_golden, every_strict_prefix_decodes_or_throws_invariant_violation) {
   for (const golden_case& c : all_cases()) {
     for (std::size_t n = 0; n < c.raw->size(); ++n) {
-      SCOPED_TRACE(c.name + " prefix " + std::to_string(n));
-      const auto prefix =
-          std::make_shared<util::bytes>(c.raw->begin(), c.raw->begin() + n);
-      try {
-        c.reencode(prefix);
-      } catch (const invariant_violation&) {
-        // rejected: the only acceptable failure
-      } catch (const std::exception& e) {
-        ADD_FAILURE() << "unexpected exception: " << e.what();
+      const util::bytes prefix(c.raw->begin(), c.raw->begin() + n);
+      for (const std::size_t offset : {0, 1}) {
+        SCOPED_TRACE(c.name + " prefix " + std::to_string(n) + " at offset " +
+                     std::to_string(offset));
+        try {
+          c.reencode(offset == 0 ? std::make_shared<util::bytes>(prefix)
+                                 : behind_kind_byte(prefix),
+                     offset);
+        } catch (const invariant_violation&) {
+          // rejected: the only acceptable failure
+        } catch (const std::exception& e) {
+          ADD_FAILURE() << "unexpected exception: " << e.what();
+        }
       }
     }
   }
