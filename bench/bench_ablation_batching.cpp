@@ -200,18 +200,15 @@ int main(int argc, char** argv) {
   }
 
   util::text_table t;
-  t.header({"Batch", "tpm", "Abort %", "Cert p95 ms", "CPU %", "Disk %",
-            "Mean run", "Pipe HW", "Views", "Safety", "Checks"});
-  std::vector<std::vector<std::string>> csv_rows;
-  csv_rows.push_back({"batch_max", "tpm", "abort_pct", "cert_p95_ms",
-                      "cpu_pct", "disk_pct", "mean_run_len",
-                      "pipeline_high_water", "view_changes", "safety_ok",
-                      "checks_ok"});
-  std::string json = "{\n  \"benchmark\": \"batching_ablation\",\n"
-                     "  \"mix\": \"ycsb_a\",\n  \"points\": [\n";
+  t.columns({{"Batch", "batch_max"}, {"tpm", "tpm"}, {"Abort %", "abort_pct"},
+             {"Cert p95 ms", "cert_p95_ms"}, {"CPU %", "cpu_pct"},
+             {"Disk %", "disk_pct"}, {"Mean run", "mean_run_len"},
+             {"Pipe HW", "pipeline_high_water"}, {"Views", "view_changes"},
+             {"Safety", "safety_ok"}, {"Checks", "checks_ok"}});
+  t.field("benchmark", "batching_ablation");
+  t.field("mix", "ycsb_a");
   const double serial_tpm = points.empty() ? 0.0 : points[0].res.tpm();
-  for (std::size_t i = 0; i < points.size(); ++i) {
-    const point_result& p = points[i];
+  for (const point_result& p : points) {
     const double p95 = p.res.cert_latency_ms.empty()
                            ? 0.0
                            : p.res.cert_latency_ms.quantile(0.95);
@@ -230,51 +227,16 @@ int main(int argc, char** argv) {
                    p.batch_max, p.res.tpm(), serial_tpm);
       failed = true;
     }
-    t.row({util::fmt(p.batch_max), util::fmt(p.res.tpm(), 0),
-           util::fmt(p.res.stats.abort_rate_pct(), 2), util::fmt(p95, 2),
-           util::fmt(100.0 * p.res.cpu_utilization, 1),
-           util::fmt(100.0 * p.res.disk_utilization, 1),
-           util::fmt(p.mean_run(), 1), util::fmt(p.pipeline_hw),
-           util::fmt(p.res.view_changes),
-           p.res.safety.ok ? "ok" : "VIOLATION",
-           p.res.checks.ok ? "ok" : "VIOLATION"});
-    csv_rows.push_back({util::fmt(p.batch_max), util::fmt(p.res.tpm(), 0),
-                        util::fmt(p.res.stats.abort_rate_pct(), 2),
-                        util::fmt(p95, 2),
-                        util::fmt(100.0 * p.res.cpu_utilization, 1),
-                        util::fmt(100.0 * p.res.disk_utilization, 1),
-                        util::fmt(p.mean_run(), 1),
-                        util::fmt(p.pipeline_hw),
-                        util::fmt(p.res.view_changes),
-                        p.res.safety.ok ? "1" : "0",
-                        p.res.checks.ok ? "1" : "0"});
-    json += "    {\"batch_max\": " + util::fmt(p.batch_max) +
-            ", \"tpm\": " + util::fmt(p.res.tpm(), 0) +
-            ", \"abort_pct\": " + util::fmt(p.res.stats.abort_rate_pct(), 2) +
-            ", \"cert_p95_ms\": " + util::fmt(p95, 2) +
-            ", \"cpu_pct\": " + util::fmt(100.0 * p.res.cpu_utilization, 1) +
-            ", \"disk_pct\": " +
-            util::fmt(100.0 * p.res.disk_utilization, 1) +
-            ", \"mean_run_len\": " + util::fmt(p.mean_run(), 1) +
-            ", \"pipeline_high_water\": " + util::fmt(p.pipeline_hw) +
-            ", \"view_changes\": " + util::fmt(p.res.view_changes) +
-            ", \"safety_ok\": " + (p.res.safety.ok ? "true" : "false") +
-            ", \"checks_ok\": " + (p.res.checks.ok ? "true" : "false") +
-            "}" + (i + 1 < points.size() ? "," : "") + "\n";
+    t.row({util::num(p.batch_max), util::num(p.res.tpm(), 0),
+           util::num(p.res.stats.abort_rate_pct(), 2), util::num(p95, 2),
+           util::num(100.0 * p.res.cpu_utilization, 1),
+           util::num(100.0 * p.res.disk_utilization, 1),
+           util::num(p.mean_run(), 1), util::num(p.pipeline_hw),
+           util::num(p.res.view_changes), util::verdict(p.res.safety.ok),
+           util::verdict(p.res.checks.ok)});
   }
-  json += "  ]\n}\n";
 
-  bench::emit(t, flags.get_string("csv"), csv_rows);
-  const std::string json_path = flags.get_string("json");
-  if (!json_path.empty()) {
-    if (std::FILE* f = std::fopen(json_path.c_str(), "w")) {
-      std::fputs(json.c_str(), f);
-      std::fclose(f);
-      std::fprintf(stderr, "[json] wrote %s\n", json_path.c_str());
-    } else {
-      std::fprintf(stderr, "[json] cannot write %s\n", json_path.c_str());
-      return 1;
-    }
-  }
+  if (!bench::emit(t, flags.get_string("csv"), flags.get_string("json")))
+    return 1;
   return failed ? 1 : 0;
 }

@@ -166,13 +166,6 @@ int main(int argc, char** argv) {
         points.push_back(sweep_point{n, s, t});
       }
 
-  util::text_table table;
-  table.header({"Set size", "Shards", "Threads", "Real ns/certify",
-                "Modeled us/certify", "Modeled speedup"});
-  std::vector<std::vector<std::string>> csv_rows;
-  csv_rows.push_back({"set_size", "shards", "threads", "real_ns",
-                      "modeled_us", "modeled_speedup"});
-
   for (sweep_point& p : points) {
     const std::size_t iters =
         flags.get_u64("iters") != 0
@@ -194,47 +187,30 @@ int main(int argc, char** argv) {
     return 0.0;
   };
 
-  std::string json =
-      "{\n  \"benchmark\": \"cert_shards_sweep\",\n"
-      "  \"window\": " + util::fmt(static_cast<double>(window), 0) +
-      ",\n  \"host_cpus\": " +
-      util::fmt(static_cast<double>(std::thread::hardware_concurrency()),
-                0) +
-      ",\n  \"note\": \"modeled_us is the deterministic simulator charge "
-      "(fork-join critical path); real_ns needs host cores to scale\",\n"
-      "  \"points\": [\n";
-  for (std::size_t i = 0; i < points.size(); ++i) {
-    const sweep_point& p = points[i];
+  util::text_table table;
+  table.columns({{"Set size", "set_size"}, {"Shards", "shards"},
+                 {"Threads", "threads"},
+                 {"Real ns/certify", "real_ns_per_certify"},
+                 {"Modeled us/certify", "modeled_us_per_certify"},
+                 {"Modeled speedup", "modeled_speedup"}});
+  table.field("benchmark", "cert_shards_sweep");
+  table.field("window", util::num(window));
+  table.field("host_cpus", util::num(static_cast<std::size_t>(
+                               std::thread::hardware_concurrency())));
+  table.field("note",
+              "modeled_us is the deterministic simulator charge (fork-join "
+              "critical path); real_ns needs host cores to scale");
+  for (const sweep_point& p : points) {
     const double base = serial_modeled(p.set_size);
     const double speedup = p.modeled_us > 0 ? base / p.modeled_us : 0.0;
-    table.row({util::fmt(p.set_size), util::fmt(p.shards),
-               util::fmt(static_cast<std::size_t>(p.threads)), util::fmt(p.real_ns, 0),
-               util::fmt(p.modeled_us, 2), util::fmt(speedup, 2)});
-    csv_rows.push_back({util::fmt(p.set_size), util::fmt(p.shards),
-                        util::fmt(static_cast<std::size_t>(p.threads)), util::fmt(p.real_ns, 0),
-                        util::fmt(p.modeled_us, 2),
-                        util::fmt(speedup, 2)});
-    json += "    {\"set_size\": " + util::fmt(p.set_size) +
-            ", \"shards\": " + util::fmt(p.shards) +
-            ", \"threads\": " + util::fmt(static_cast<std::size_t>(p.threads)) +
-            ", \"real_ns_per_certify\": " + util::fmt(p.real_ns, 0) +
-            ", \"modeled_us_per_certify\": " + util::fmt(p.modeled_us, 2) +
-            ", \"modeled_speedup\": " + util::fmt(speedup, 2) + "}" +
-            (i + 1 < points.size() ? "," : "") + "\n";
+    table.row({util::num(p.set_size), util::num(p.shards),
+               util::num(static_cast<std::size_t>(p.threads)),
+               util::num(p.real_ns, 0), util::num(p.modeled_us, 2),
+               util::num(speedup, 2)});
   }
-  json += "  ]\n}\n";
 
-  bench::emit(table, flags.get_string("csv"), csv_rows);
-  const std::string json_path = flags.get_string("json");
-  if (!json_path.empty()) {
-    if (std::FILE* f = std::fopen(json_path.c_str(), "w")) {
-      std::fputs(json.c_str(), f);
-      std::fclose(f);
-      std::fprintf(stderr, "[json] wrote %s\n", json_path.c_str());
-    } else {
-      std::fprintf(stderr, "[json] cannot write %s\n", json_path.c_str());
-      return 1;
-    }
-  }
-  return 0;
+  return bench::emit(table, flags.get_string("csv"),
+                     flags.get_string("json"))
+             ? 0
+             : 1;
 }

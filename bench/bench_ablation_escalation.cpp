@@ -20,7 +20,6 @@ int main(int argc, char** argv) {
   util::text_table t;
   t.header({"Variant", "tpm", "Abort(%)", "os-long abort(%)",
             "pay-long abort(%)", "Net KB/s"});
-  std::vector<std::vector<std::string>> rows;
   for (const bool escalate : {true, false}) {
     auto cfg = bench::paper_config();
     bench::apply_common_flags(flags, cfg);
@@ -31,18 +30,14 @@ int main(int argc, char** argv) {
     const char* label = escalate ? "escalation on (paper)"
                                  : "escalation off (tuple reads)";
     const auto r = bench::run_point(cfg, label);
-    std::vector<std::string> row{
-        label,
-        util::fmt(r.tpm(), 0),
-        util::fmt(r.stats.abort_rate_pct(), 2),
-        util::fmt(r.stats.of(tpcc::c_orderstatus_long).abort_rate_pct(), 2),
-        util::fmt(r.stats.of(tpcc::c_payment_long).abort_rate_pct(), 2),
-        util::fmt(r.network_kbps, 0)};
-    t.row(row);
-    rows.push_back(row);
+    t.row({label, util::fmt(r.tpm(), 0),
+           util::fmt(r.stats.abort_rate_pct(), 2),
+           util::fmt(r.stats.of(tpcc::c_orderstatus_long).abort_rate_pct(), 2),
+           util::fmt(r.stats.of(tpcc::c_payment_long).abort_rate_pct(), 2),
+           util::fmt(r.network_kbps, 0)});
   }
   std::puts("=== Ablation: read-set escalation (3 sites) ===");
-  bench::emit(t, flags.get_string("csv"), rows);
+  if (!bench::emit(t, flags.get_string("csv"))) return 1;
   std::puts(
       "\nExpected: without escalation, orderstatus(long) aborts collapse "
       "toward 0 (scan\nconflicts no longer detected) and network bytes "

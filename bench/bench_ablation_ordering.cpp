@@ -72,43 +72,20 @@ int main(int argc, char** argv) {
   const double p95 =
       r.cert_latency_ms.empty() ? 0.0 : r.cert_latency_ms.quantile(0.95);
 
-  const std::vector<std::string> row = {
-      name,
-      util::fmt(r.tpm(), 0),
-      util::fmt(r.stats.abort_rate_pct(), 2),
-      util::fmt(p95, 2),
-      util::fmt(100.0 * r.cpu_utilization, 1),
-      util::fmt(100.0 * hi, 1),
-      util::fmt(spread, 2),
-      util::fmt(r.view_changes)};
   util::text_table t;
-  t.header({"Ordering", "tpm", "Abort %", "Cert p95 ms", "CPU %",
-            "Peak proto %", "Proto spread", "Views", "Safety", "Checks"});
-  std::vector<std::string> shown = row;
-  shown.push_back(r.safety.ok ? "ok" : "VIOLATION");
-  shown.push_back(r.checks.ok ? "ok" : "VIOLATION");
-  t.row(shown);
-  std::vector<std::vector<std::string>> csv_rows;
-  csv_rows.push_back({"ordering", "tpm", "abort_pct", "cert_p95_ms",
-                      "cpu_pct", "peak_protocol_cpu_pct",
-                      "protocol_cpu_spread", "view_changes", "safety_ok",
-                      "checks_ok"});
-  std::vector<std::string> csv_row = row;
-  csv_row.push_back(r.safety.ok ? "1" : "0");
-  csv_row.push_back(r.checks.ok ? "1" : "0");
-  csv_rows.push_back(csv_row);
-  const std::string json =
-      std::string("{\n  \"benchmark\": \"ordering_ablation\",\n"
-                  "  \"mix\": \"ycsb_a\",\n  \"points\": [\n") +
-      "    {\"ordering\": \"" + name + "\"" +
-      ", \"tpm\": " + row[1] + ", \"abort_pct\": " + row[2] +
-      ", \"cert_p95_ms\": " + row[3] + ", \"cpu_pct\": " + row[4] +
-      ", \"peak_protocol_cpu_pct\": " + row[5] +
-      ", \"protocol_cpu_spread\": " + row[6] +
-      ", \"view_changes\": " + row[7] +
-      ", \"safety_ok\": " + (r.safety.ok ? "true" : "false") +
-      ", \"checks_ok\": " + (r.checks.ok ? "true" : "false") + "}\n" +
-      "  ]\n}\n";
+  t.columns({{"Ordering", "ordering"}, {"tpm", "tpm"}, {"Abort %", "abort_pct"},
+             {"Cert p95 ms", "cert_p95_ms"}, {"CPU %", "cpu_pct"},
+             {"Peak proto %", "peak_protocol_cpu_pct"},
+             {"Proto spread", "protocol_cpu_spread"},
+             {"Views", "view_changes"}, {"Safety", "safety_ok"},
+             {"Checks", "checks_ok"}});
+  t.field("benchmark", "ordering_ablation");
+  t.field("mix", "ycsb_a");
+  t.row({name, util::num(r.tpm(), 0), util::num(r.stats.abort_rate_pct(), 2),
+         util::num(p95, 2), util::num(100.0 * r.cpu_utilization, 1),
+         util::num(100.0 * hi, 1), util::num(spread, 2),
+         util::num(r.view_changes), util::verdict(r.safety.ok),
+         util::verdict(r.checks.ok)});
 
   // The gates run in every mode; the simulation is deterministic, so
   // these are real signals, not noise.
@@ -126,17 +103,7 @@ int main(int argc, char** argv) {
     failed = true;
   }
 
-  bench::emit(t, flags.get_string("csv"), csv_rows);
-  const std::string json_path = flags.get_string("json");
-  if (!json_path.empty()) {
-    if (std::FILE* f = std::fopen(json_path.c_str(), "w")) {
-      std::fputs(json.c_str(), f);
-      std::fclose(f);
-      std::fprintf(stderr, "[json] wrote %s\n", json_path.c_str());
-    } else {
-      std::fprintf(stderr, "[json] cannot write %s\n", json_path.c_str());
-      return 1;
-    }
-  }
+  if (!bench::emit(t, flags.get_string("csv"), flags.get_string("json")))
+    return 1;
   return failed ? 1 : 0;
 }

@@ -53,16 +53,17 @@ int main(int argc, char** argv) {
   points.push_back({2u, true});
 
   util::text_table t;
-  t.header({"Placement", "tpm", "Abort(%)", "Disk(%)", "Store MB/site",
-            "Applied MB/site", "Interested/Delivered", "Monitors"});
-  std::vector<std::vector<std::string>> rows;
-  std::string json = "{\n  \"benchmark\": \"partial_replication_placement\","
-                     "\n  \"strategy\": \"" + place_name + "\","
-                     "\n  \"sites\": " + util::fmt(static_cast<std::int64_t>(
-                         sites)) + ",\n  \"points\": [\n";
+  t.columns({{"Placement", "placement"}, {"", "degree"}, {"", "faults"},
+             {"tpm", "tpm"}, {"Abort(%)", "abort_pct"}, {"Disk(%)", "disk_pct"},
+             {"Store MB/site", "store_mb_per_site"},
+             {"Applied MB/site", "applied_mb_per_site"},
+             {"Interested/Delivered", "interested_over_delivered"},
+             {"Monitors", "checks_ok"}});
+  t.field("benchmark", "partial_replication_placement");
+  t.field("strategy", place_name);
+  t.field("sites", util::num(static_cast<std::int64_t>(sites)));
   bool all_ok = true;
-  for (std::size_t i = 0; i < points.size(); ++i) {
-    const point& pt = points[i];
+  for (const point& pt : points) {
     auto cfg = bench::paper_config();
     bench::apply_common_flags(flags, cfg);
     cfg.sites = sites;
@@ -109,50 +110,24 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "[partial] %s: monitor: %s\n", label.c_str(),
                    r.checks.summary().c_str());
 
-    std::vector<std::string> row{
-        label,
-        util::fmt(r.tpm(), 0),
-        util::fmt(r.stats.abort_rate_pct(), 2),
-        util::fmt(r.disk_utilization * 100.0, 1),
-        util::fmt(store_mb, 2),
-        util::fmt(applied_mb, 2),
-        util::fmt(ratio, 3),
-        ok ? "ok" : "VIOLATED"};
-    t.row(row);
-    rows.push_back(row);
-    json += "    {\"placement\": \"" + label + "\", \"degree\": " +
-            util::fmt(static_cast<std::int64_t>(
-                pt.degree == 0 ? sites : pt.degree)) +
-            ", \"faults\": " + (pt.with_faults ? "true" : "false") +
-            ", \"tpm\": " + util::fmt(r.tpm(), 0) +
-            ", \"abort_pct\": " + util::fmt(r.stats.abort_rate_pct(), 2) +
-            ", \"disk_pct\": " + util::fmt(r.disk_utilization * 100.0, 1) +
-            ", \"store_mb_per_site\": " + util::fmt(store_mb, 2) +
-            ", \"applied_mb_per_site\": " + util::fmt(applied_mb, 2) +
-            ", \"interested_over_delivered\": " + util::fmt(ratio, 3) +
-            ", \"checks_ok\": " + (ok ? "true" : "false") + "}" +
-            (i + 1 < points.size() ? "," : "") + "\n";
+    t.row({label,
+           util::num(static_cast<std::int64_t>(pt.degree == 0 ? sites
+                                                              : pt.degree)),
+           util::boolean(pt.with_faults, ""), util::num(r.tpm(), 0),
+           util::num(r.stats.abort_rate_pct(), 2),
+           util::num(r.disk_utilization * 100.0, 1), util::num(store_mb, 2),
+           util::num(applied_mb, 2), util::num(ratio, 3),
+           util::verdict(ok, "VIOLATED")});
   }
-  json += "  ]\n}\n";
 
   std::puts("=== Ablation: partial replication (disk ceiling mitigation) ===");
-  bench::emit(t, flags.get_string("csv"), rows);
+  const bool written =
+      bench::emit(t, flags.get_string("csv"), flags.get_string("json"));
   std::puts(
       "\nExpected: smaller replica sets cut per-site storage and disk usage "
       "(each site applies\nonly the updates it replicates), lifting the "
       "write-all ceiling the paper identifies\nin Fig 6(b); commit "
       "decisions are placement-invariant (certification stays global).");
 
-  const std::string json_path = flags.get_string("json");
-  if (!json_path.empty()) {
-    if (std::FILE* f = std::fopen(json_path.c_str(), "w")) {
-      std::fputs(json.c_str(), f);
-      std::fclose(f);
-      std::printf("JSON baseline written to %s\n", json_path.c_str());
-    } else {
-      std::fprintf(stderr, "cannot open %s\n", json_path.c_str());
-      return 1;
-    }
-  }
-  return all_ok ? 0 : 1;
+  return all_ok && written ? 0 : 1;
 }

@@ -99,17 +99,14 @@ int main(int argc, char** argv) {
   }
 
   util::text_table t;
-  t.header({"Mix", "Mode", "tpm", "Abort %", "RO bcast", "Fast reads",
-            "Fallback", "Hit %", "Checks"});
-  std::vector<std::vector<std::string>> csv_rows;
-  csv_rows.push_back({"mix", "mode", "tpm", "abort_pct", "ro_broadcasts",
-                      "fast_reads", "fallback_reads", "hit_pct",
-                      "checks_ok"});
-  std::string json = "{\n  \"benchmark\": \"read_path_ablation\",\n"
-                     "  \"points\": [\n";
+  t.columns({{"Mix", "mix"}, {"Mode", "mode"}, {"tpm", "tpm"},
+             {"Abort %", "abort_pct"}, {"RO bcast", "ro_broadcasts"},
+             {"Fast reads", "fast_reads"}, {"Fallback", "fallback_reads"},
+             {"Hit %", "hit_pct"}, {"", "lease_revocations"},
+             {"Checks", "checks_ok"}});
+  t.field("benchmark", "read_path_ablation");
   bool failed = false;
-  for (std::size_t i = 0; i < points.size(); ++i) {
-    const point_result& p = points[i];
+  for (const point_result& p : points) {
     const std::uint64_t served = p.fast + p.fallback;
     const double hit =
         served == 0 ? 0.0
@@ -136,39 +133,13 @@ int main(int argc, char** argv) {
         failed = true;
       }
     }
-    t.row({p.mix, p.mode, util::fmt(p.res.tpm(), 0),
-           util::fmt(p.res.stats.abort_rate_pct(), 2), util::fmt(p.ro_bcast),
-           util::fmt(p.fast), util::fmt(p.fallback), util::fmt(hit, 1),
-           p.res.checks.ok ? "ok" : "VIOLATION"});
-    csv_rows.push_back({p.mix, p.mode, util::fmt(p.res.tpm(), 0),
-                        util::fmt(p.res.stats.abort_rate_pct(), 2),
-                        util::fmt(p.ro_bcast), util::fmt(p.fast),
-                        util::fmt(p.fallback), util::fmt(hit, 1),
-                        p.res.checks.ok ? "1" : "0"});
-    json += "    {\"mix\": \"" + p.mix + "\", \"mode\": \"" + p.mode +
-            "\", \"tpm\": " + util::fmt(p.res.tpm(), 0) +
-            ", \"abort_pct\": " + util::fmt(p.res.stats.abort_rate_pct(), 2) +
-            ", \"ro_broadcasts\": " + util::fmt(p.ro_bcast) +
-            ", \"fast_reads\": " + util::fmt(p.fast) +
-            ", \"fallback_reads\": " + util::fmt(p.fallback) +
-            ", \"hit_pct\": " + util::fmt(hit, 1) +
-            ", \"lease_revocations\": " + util::fmt(p.revocations) +
-            ", \"checks_ok\": " + (p.res.checks.ok ? "true" : "false") +
-            "}" + (i + 1 < points.size() ? "," : "") + "\n";
+    t.row({p.mix, p.mode, util::num(p.res.tpm(), 0),
+           util::num(p.res.stats.abort_rate_pct(), 2), util::num(p.ro_bcast),
+           util::num(p.fast), util::num(p.fallback), util::num(hit, 1),
+           util::num(p.revocations), util::verdict(p.res.checks.ok)});
   }
-  json += "  ]\n}\n";
 
-  bench::emit(t, flags.get_string("csv"), csv_rows);
-  const std::string json_path = flags.get_string("json");
-  if (!json_path.empty()) {
-    if (std::FILE* f = std::fopen(json_path.c_str(), "w")) {
-      std::fputs(json.c_str(), f);
-      std::fclose(f);
-      std::fprintf(stderr, "[json] wrote %s\n", json_path.c_str());
-    } else {
-      std::fprintf(stderr, "[json] cannot write %s\n", json_path.c_str());
-      return 1;
-    }
-  }
+  if (!bench::emit(t, flags.get_string("csv"), flags.get_string("json")))
+    return 1;
   return failed ? 1 : 0;
 }

@@ -55,18 +55,15 @@ int main(int argc, char** argv) {
           : std::vector<double>{0.0, 0.3, 0.5, 0.6, 0.8, 0.9, 0.95, 0.99};
 
   util::text_table t;
-  t.header({"Zipf theta", "tpm", "Cert aborts", "Cert %", "Preempt %",
-            "Lock %", "Abort %"});
-  std::vector<std::vector<std::string>> csv_rows;
-  csv_rows.push_back({"theta", "tpm", "cert_aborts", "cert_pct",
-                      "preempt_pct", "lock_pct", "abort_pct"});
-  std::string json = "{\n  \"benchmark\": \"kv_zipf_skew_sweep\",\n"
-                     "  \"dist\": \"" + dist_name + "\",\n"
-                     "  \"mix\": \"" + mix_name + "\",\n"
-                     "  \"points\": [\n";
+  t.columns({{"Zipf theta", "theta"}, {"tpm", "tpm"},
+             {"Cert aborts", "cert_aborts"}, {"Cert %", "cert_abort_pct"},
+             {"Preempt %", "preempt_abort_pct"}, {"Lock %", "lock_abort_pct"},
+             {"Abort %", "abort_pct"}});
+  t.field("benchmark", "kv_zipf_skew_sweep");
+  t.field("dist", dist_name);
+  t.field("mix", mix_name);
 
-  for (std::size_t i = 0; i < thetas.size(); ++i) {
-    const double theta = thetas[i];
+  for (const double theta : thetas) {
     core::experiment_config cfg = bench::paper_config();
     cfg.clients = static_cast<unsigned>(flags.get_int("clients"));
     bench::apply_common_flags(flags, cfg);
@@ -106,36 +103,12 @@ int main(int argc, char** argv) {
         100.0 * static_cast<double>(preempt) / denom;
     const double lock_pct = 100.0 * static_cast<double>(lock) / denom;
 
-    t.row({util::fmt(theta, 2), util::fmt(r.tpm(), 0), util::fmt(cert),
-           util::fmt(cert_pct, 2), util::fmt(preempt_pct, 2),
-           util::fmt(lock_pct, 2),
-           util::fmt(r.stats.abort_rate_pct(), 2)});
-    csv_rows.push_back({util::fmt(theta, 2), util::fmt(r.tpm(), 0),
-                        util::fmt(cert), util::fmt(cert_pct, 2),
-                        util::fmt(preempt_pct, 2), util::fmt(lock_pct, 2),
-                        util::fmt(r.stats.abort_rate_pct(), 2)});
-    json += "    {\"theta\": " + util::fmt(theta, 2) +
-            ", \"tpm\": " + util::fmt(r.tpm(), 0) +
-            ", \"cert_aborts\": " + util::fmt(cert) +
-            ", \"cert_abort_pct\": " + util::fmt(cert_pct, 2) +
-            ", \"preempt_abort_pct\": " + util::fmt(preempt_pct, 2) +
-            ", \"lock_abort_pct\": " + util::fmt(lock_pct, 2) +
-            ", \"abort_pct\": " + util::fmt(r.stats.abort_rate_pct(), 2) +
-            "}" + (i + 1 < thetas.size() ? "," : "") + "\n";
+    t.row({util::num(theta, 2), util::num(r.tpm(), 0), util::num(cert),
+           util::num(cert_pct, 2), util::num(preempt_pct, 2),
+           util::num(lock_pct, 2), util::num(r.stats.abort_rate_pct(), 2)});
   }
-  json += "  ]\n}\n";
 
-  bench::emit(t, flags.get_string("csv"), csv_rows);
-  const std::string json_path = flags.get_string("json");
-  if (!json_path.empty()) {
-    if (std::FILE* f = std::fopen(json_path.c_str(), "w")) {
-      std::fputs(json.c_str(), f);
-      std::fclose(f);
-      std::fprintf(stderr, "[json] wrote %s\n", json_path.c_str());
-    } else {
-      std::fprintf(stderr, "[json] cannot write %s\n", json_path.c_str());
-      return 1;
-    }
-  }
-  return 0;
+  return bench::emit(t, flags.get_string("csv"), flags.get_string("json"))
+             ? 0
+             : 1;
 }

@@ -36,7 +36,6 @@ int main(int argc, char** argv) {
   util::text_table t;
   t.header({"Variant", "tpm", "p50(ms)", "p99(ms)", "Blocked(#)",
             "Blocked(ms)", "Delayed(%)", "Abort(%)"});
-  std::vector<std::vector<std::string>> rows;
   for (const variant& v : variants) {
     auto cfg = bench::paper_config();
     bench::apply_common_flags(flags, cfg);
@@ -62,22 +61,16 @@ int main(int argc, char** argv) {
         r.cert_latency_ms.empty()
             ? 0.0
             : 100.0 * (1.0 - r.cert_latency_ms.ecdf_at(10.0));
-    std::vector<std::string> row{
-        v.label,
-        util::fmt(r.tpm(), 0),
-        util::fmt(lat.quantile(0.50), 1),
-        util::fmt(lat.quantile(0.99), 1),
-        util::fmt(static_cast<std::int64_t>(r.blocked_episodes)),
-        util::fmt(r.blocked_ms, 1),
-        util::fmt(delayed_pct, 1),
-        util::fmt(r.stats.abort_rate_pct(), 2)};
-    t.row(row);
-    rows.push_back(row);
+    t.row({v.label, util::fmt(r.tpm(), 0), util::fmt(lat.quantile(0.50), 1),
+           util::fmt(lat.quantile(0.99), 1),
+           util::fmt(static_cast<std::int64_t>(r.blocked_episodes)),
+           util::fmt(r.blocked_ms, 1), util::fmt(delayed_pct, 1),
+           util::fmt(r.stats.abort_rate_pct(), 2)});
   }
   std::puts(
       "=== Ablation: buffer space / stability period / dedicated "
       "sequencer under 5% random loss ===");
-  bench::emit(t, flags.get_string("csv"), rows);
+  if (!bench::emit(t, flags.get_string("csv"))) return 1;
   std::puts(
       "\nExpected: larger buffers and faster gossip reduce blocking "
       "episodes and the\nlatency tail; a dedicated sequencer removes the "

@@ -161,29 +161,23 @@ int main(int argc, char** argv) {
                                           1472, 2048, 3000, 4096};
 
   util::text_table t;
-  t.header({"Size(B)", "Write Real(Mb/s)", "Write CSRT", "Recv Real(Mb/s)",
-            "Recv CSRT", "RTT Real(us)", "RTT CSRT"});
-  std::vector<std::vector<std::string>> rows;
-  rows.push_back({"size", "write_real", "write_csrt", "recv_real",
-                  "recv_csrt", "rtt_real", "rtt_csrt"});
+  t.columns({{"Size(B)", "size"}, {"Write Real(Mb/s)", "write_real"},
+             {"Write CSRT", "write_csrt"}, {"Recv Real(Mb/s)", "recv_real"},
+             {"Recv CSRT", "recv_csrt"}, {"RTT Real(us)", "rtt_real"},
+             {"RTT CSRT", "rtt_csrt"}});
   for (std::size_t size : sizes) {
     const auto [write_mbps, recv_mbps] =
         flood(size, static_cast<unsigned>(flags.get_int("flood")));
     const double rtt =
         round_trip(size, static_cast<unsigned>(flags.get_int("rounds")));
-    std::vector<std::string> row{
-        util::fmt(static_cast<std::int64_t>(size)),
-        util::fmt(ref_write_mbps(costs, size), 1),
-        util::fmt(write_mbps, 1),
-        util::fmt(ref_recv_mbps(lan_cfg, costs, size), 1),
-        util::fmt(recv_mbps, 1),
-        util::fmt(ref_rtt_us(lan_cfg, costs, size), 1),
-        util::fmt(rtt, 1)};
-    t.row(row);
-    rows.push_back(row);
+    t.row({util::fmt(static_cast<std::int64_t>(size)),
+           util::fmt(ref_write_mbps(costs, size), 1), util::fmt(write_mbps, 1),
+           util::fmt(ref_recv_mbps(lan_cfg, costs, size), 1),
+           util::fmt(recv_mbps, 1),
+           util::fmt(ref_rtt_us(lan_cfg, costs, size), 1), util::fmt(rtt, 1)});
   }
   std::puts("=== Figure 3: CSRT validation (Real reference vs CSRT) ===");
-  bench::emit(t, flags.get_string("csv"), rows);
+  if (!bench::emit(t, flags.get_string("csv"))) return 1;
   std::puts(
       "\nPaper shapes: write bandwidth CPU-bound, rising with size toward "
       "~500+ Mbit/s;\nreceive bandwidth wire-capped near ~95 Mbit/s past "

@@ -37,23 +37,21 @@ int main(int argc, char** argv) {
     }
   }
 
+  bool written = true;
   auto print_metric = [&](const char* title, auto pick) {
     util::text_table t;
-    std::vector<std::vector<std::string>> csv_rows;
     std::vector<std::string> header{"Clients"};
     for (const auto& sys : systems) header.push_back(sys.label);
     t.header(header);
-    csv_rows.push_back(header);
     for (unsigned n : clients) {
-      std::vector<std::string> row{std::to_string(n)};
+      std::vector<util::cell> row{std::to_string(n)};
       for (const auto& sys : systems)
         row.push_back(util::fmt(pick(series[sys.label][n]), 1));
-      t.row(row);
-      csv_rows.push_back(row);
+      t.row(std::move(row));
     }
     std::printf("\n=== Figure 5: %s ===\n", title);
     const std::string csv = flags.get_string("csv");
-    bench::emit(t, csv.empty() ? "" : csv + "." + title + ".csv", csv_rows);
+    written &= bench::emit(t, csv.empty() ? "" : csv + "." + title + ".csv");
   };
 
   print_metric("throughput_tpm",
@@ -67,5 +65,5 @@ int main(int argc, char** argv) {
       "\nPaper shapes: 3 sites ~ 3-CPU centralized, 6 sites ~ 6-CPU; "
       "1 CPU saturates near 500 clients (~2600 tpm), 3 sites near 1500 "
       "(~7000 tpm), 6 sites scale past 2000 (~9000 tpm).");
-  return 0;
+  return written ? 0 : 1;
 }

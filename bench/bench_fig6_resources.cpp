@@ -38,29 +38,27 @@ int main(int argc, char** argv) {
     }
   }
 
+  bool written = true;
   auto print_metric = [&](const char* title, auto pick,
                           bool replicated_only) {
     util::text_table t;
-    std::vector<std::vector<std::string>> rows;
     std::vector<std::string> header{"Clients"};
     for (const auto& sys : systems) {
       if (replicated_only && sys.sites == 1) continue;
       header.push_back(sys.label);
     }
     t.header(header);
-    rows.push_back(header);
     for (unsigned n : clients) {
-      std::vector<std::string> row{std::to_string(n)};
+      std::vector<util::cell> row{std::to_string(n)};
       for (const auto& sys : systems) {
         if (replicated_only && sys.sites == 1) continue;
         row.push_back(util::fmt(pick(series[sys.label][n]), 1));
       }
-      t.row(row);
-      rows.push_back(row);
+      t.row(std::move(row));
     }
     std::printf("\n=== Figure 6: %s ===\n", title);
     const std::string csv = flags.get_string("csv");
-    bench::emit(t, csv.empty() ? "" : csv + "." + title + ".csv", rows);
+    written &= bench::emit(t, csv.empty() ? "" : csv + "." + title + ".csv");
   };
 
   print_metric("cpu_usage_pct", [](const point& p) { return p.cpu_pct; },
@@ -75,5 +73,5 @@ int main(int argc, char** argv) {
       "(3x the load);\nwith 6 CPUs the bottleneck moves to disk bandwidth "
       "(read one/write all);\nnetwork bytes grow linearly with clients, 6 "
       "sites above 3 sites (membership\ntraffic).");
-  return 0;
+  return written ? 0 : 1;
 }

@@ -42,25 +42,23 @@ int main(int argc, char** argv) {
   }
 
   const auto n = static_cast<std::size_t>(flags.get_int("ecdf-points"));
+  bool written = true;
   auto print_ecdf = [&](const char* title, auto pick) {
     util::text_table t;
     std::vector<std::string> header{"quantile"};
     for (const auto& s : scenarios) header.push_back(s.label);
     t.header(header);
-    std::vector<std::vector<std::string>> rows;
-    rows.push_back(header);
     for (std::size_t i = 0; i < n; ++i) {
       const double q = (static_cast<double>(i) + 0.5) / n;
-      std::vector<std::string> row{util::fmt(q, 2)};
+      std::vector<util::cell> row{util::fmt(q, 2)};
       for (std::size_t k = 0; k < results.size(); ++k)
         row.push_back(util::fmt(pick(results[k]).quantile(q), 1));
-      t.row(row);
-      rows.push_back(row);
+      t.row(std::move(row));
     }
     std::printf("\n=== Figure 7: %s ECDF (value in ms at quantile) ===\n",
                 title);
     const std::string csv = flags.get_string("csv");
-    bench::emit(t, csv.empty() ? "" : csv + "." + title + ".csv", rows);
+    written &= bench::emit(t, csv.empty() ? "" : csv + "." + title + ".csv");
   };
 
   print_ecdf("transaction_latency",
@@ -81,7 +79,6 @@ int main(int argc, char** argv) {
     util::text_table t;
     t.header({"Run", "Proto CPU(%)", "Delayed(%)", "NAKs", "Retx",
               "Blocked(#)", "Blocked(ms)", "p99 lat(ms)"});
-    std::vector<std::vector<std::string>> rows;
     for (std::size_t k = 0; k < results.size(); ++k) {
       const auto& r = results[k];
       const double delayed_pct =
@@ -89,24 +86,21 @@ int main(int argc, char** argv) {
               ? 0.0
               : 100.0 *
                     (1.0 - r.cert_latency_ms.ecdf_at(delay_threshold_ms));
-      std::vector<std::string> row{
-          scenarios[k].label,
-          util::fmt(r.protocol_cpu_utilization * 100.0, 2),
-          util::fmt(delayed_pct, 1),
-          util::fmt(static_cast<std::int64_t>(r.naks_sent)),
-          util::fmt(static_cast<std::int64_t>(r.retransmissions)),
-          util::fmt(static_cast<std::int64_t>(r.blocked_episodes)),
-          util::fmt(r.blocked_ms, 1),
-          util::fmt(r.stats.pooled_latency_ms().quantile(0.99), 1)};
-      t.row(row);
-      rows.push_back(row);
+      t.row({scenarios[k].label,
+             util::fmt(r.protocol_cpu_utilization * 100.0, 2),
+             util::fmt(delayed_pct, 1),
+             util::fmt(static_cast<std::int64_t>(r.naks_sent)),
+             util::fmt(static_cast<std::int64_t>(r.retransmissions)),
+             util::fmt(static_cast<std::int64_t>(r.blocked_episodes)),
+             util::fmt(r.blocked_ms, 1),
+             util::fmt(r.stats.pooled_latency_ms().quantile(0.99), 1)});
     }
     std::printf(
         "\n=== Figure 7(c): protocol CPU usage and loss probes "
         "(delay threshold %.1f ms) ===\n",
         delay_threshold_ms);
     const std::string csv = flags.get_string("csv");
-    bench::emit(t, csv.empty() ? "" : csv + ".cpu.csv", rows);
+    written &= bench::emit(t, csv.empty() ? "" : csv + ".cpu.csv");
   }
 
   std::puts(
@@ -115,5 +109,5 @@ int main(int argc, char** argv) {
       "certification delays (30-40% of messages\ndelayed), protocol CPU "
       "rising ~1.2% -> ~1.9%, caused by sender-buffer exhaustion\nat the "
       "sequencer awaiting stability garbage collection (§5.3).");
-  return 0;
+  return written ? 0 : 1;
 }

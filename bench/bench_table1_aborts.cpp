@@ -46,23 +46,19 @@ int main(int argc, char** argv) {
   std::vector<std::string> header{"Transaction"};
   for (const column& col : columns) header.push_back(col.label);
   t.header(header);
-  std::vector<std::vector<std::string>> rows;
-  rows.push_back(header);
   for (db::txn_class cls : row_order) {
-    std::vector<std::string> row{tpcc::class_name(cls)};
+    std::vector<util::cell> row{tpcc::class_name(cls)};
     for (const auto& r : results)
       row.push_back(util::fmt(r.stats.of(cls).abort_rate_pct(), 2));
-    t.row(row);
-    rows.push_back(row);
+    t.row(std::move(row));
   }
-  std::vector<std::string> all_row{"All"};
+  std::vector<util::cell> all_row{"All"};
   for (const auto& r : results)
     all_row.push_back(util::fmt(r.stats.abort_rate_pct(), 2));
-  t.row(all_row);
-  rows.push_back(all_row);
+  t.row(std::move(all_row));
 
   std::puts("=== Table 1: abort rates (%) ===");
-  bench::emit(t, flags.get_string("csv"), rows);
+  if (!bench::emit(t, flags.get_string("csv"))) return 1;
   std::puts(
       "\nPaper shapes: payment dominates and grows with replication "
       "degree; long > short;\norderstatus(short) and stocklevel are 0.00; "

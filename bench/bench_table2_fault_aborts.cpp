@@ -1,8 +1,8 @@
 // Table 2 (§5.3): abort rates (%) per transaction class with 3 sites and
 // 1000 clients — no losses vs 5% random loss vs 5% bursty loss.
 //
-// --json <path> additionally records the run as a machine-readable
-// baseline (bench/BENCH_faults.json in the repo).
+// --json <path> additionally records each scenario's totals as a
+// machine-readable baseline (bench/BENCH_faults.json in the repo).
 #include <cstdio>
 
 #include "common.hpp"
@@ -48,59 +48,42 @@ int main(int argc, char** argv) {
   std::vector<std::string> header{"Transaction"};
   for (const auto& s : scenarios) header.push_back(s.label);
   t.header(header);
-  std::vector<std::vector<std::string>> rows;
-  rows.push_back(header);
   for (db::txn_class cls : row_order) {
-    std::vector<std::string> row{tpcc::class_name(cls)};
+    std::vector<util::cell> row{tpcc::class_name(cls)};
     for (const auto& r : results)
       row.push_back(util::fmt(r.stats.of(cls).abort_rate_pct(), 2));
-    t.row(row);
-    rows.push_back(row);
+    t.row(std::move(row));
   }
-  std::vector<std::string> all_row{"All"};
+  std::vector<util::cell> all_row{"All"};
   for (const auto& r : results)
     all_row.push_back(util::fmt(r.stats.abort_rate_pct(), 2));
-  t.row(all_row);
-  rows.push_back(all_row);
+  t.row(std::move(all_row));
+
+  // The baseline records per-scenario totals, not the per-class table.
+  util::text_table totals;
+  totals.columns({{"", "label"}, {"", "committed"}, {"", "abort_pct"},
+                  {"", "tpm"}, {"", "p99_latency_ms"}, {"", "retransmissions"},
+                  {"", "view_changes"}, {"", "safety_ok"}});
+  totals.field("benchmark", "table2_fault_aborts");
+  totals.field("config",
+               {{"sites", util::num(std::size_t{3})},
+                {"clients", util::num(std::size_t{1000})},
+                {"txns", util::num(results[0].responses)},
+                {"seed", util::num(flags.get_u64("seed"))}});
+  totals.rows_key("scenarios");
+  for (std::size_t k = 0; k < results.size(); ++k) {
+    const auto& r = results[k];
+    totals.row({scenarios[k].label, util::num(r.stats.total_committed()),
+                util::num(r.stats.abort_rate_pct(), 2), util::num(r.tpm(), 0),
+                util::num(r.stats.pooled_latency_ms().quantile(0.99), 1),
+                util::num(r.retransmissions), util::num(r.view_changes),
+                util::verdict(r.safety.ok)});
+  }
 
   std::puts("=== Table 2: abort rates with 3 sites / 1000 clients (%) ===");
-  bench::emit(t, flags.get_string("csv"), rows);
-
-  const std::string json_path = flags.get_string("json");
-  if (!json_path.empty()) {
-    std::FILE* f = std::fopen(json_path.c_str(), "w");
-    if (!f) {
-      std::fprintf(stderr, "cannot open %s\n", json_path.c_str());
-      return 1;
-    }
-    std::fprintf(f, "{\n  \"benchmark\": \"table2_fault_aborts\",\n");
-    std::fprintf(f, "  \"config\": {\"sites\": 3, \"clients\": 1000, "
-                    "\"txns\": %llu, \"seed\": %llu},\n",
-                 static_cast<unsigned long long>(
-                     results[0].responses),
-                 static_cast<unsigned long long>(flags.get_u64("seed")));
-    std::fprintf(f, "  \"scenarios\": [\n");
-    for (std::size_t k = 0; k < results.size(); ++k) {
-      const auto& r = results[k];
-      std::fprintf(
-          f,
-          "    {\"label\": \"%s\", \"committed\": %llu, \"abort_pct\": "
-          "%.2f, \"tpm\": %.0f, \"p99_latency_ms\": %.1f, "
-          "\"retransmissions\": %llu, \"view_changes\": %llu, "
-          "\"safety_ok\": %s}%s\n",
-          scenarios[k].label,
-          static_cast<unsigned long long>(r.stats.total_committed()),
-          r.stats.abort_rate_pct(), r.tpm(),
-          r.stats.pooled_latency_ms().quantile(0.99),
-          static_cast<unsigned long long>(r.retransmissions),
-          static_cast<unsigned long long>(r.view_changes),
-          r.safety.ok ? "true" : "false",
-          k + 1 < results.size() ? "," : "");
-    }
-    std::fprintf(f, "  ]\n}\n");
-    std::fclose(f);
-    std::printf("JSON baseline written to %s\n", json_path.c_str());
-  }
+  if (!bench::emit(t, flags.get_string("csv")) ||
+      !bench::write_file(flags.get_string("json"), totals.to_json()))
+    return 1;
   for (std::size_t k = 0; k < results.size(); ++k) {
     if (!results[k].safety.ok) {
       std::printf("SAFETY VIOLATION in %s: %s\n", scenarios[k].label,

@@ -1,6 +1,7 @@
 #include "common.hpp"
 
 #include <cstdio>
+#include <fstream>
 
 namespace dbsm::bench {
 
@@ -68,15 +69,25 @@ core::experiment_result run_point(core::experiment_config cfg,
   return result;
 }
 
-void emit(const util::text_table& table, const std::string& csv_path,
-          const std::vector<std::vector<std::string>>& csv_rows) {
+bool write_file(const std::string& path, const std::string& text) {
+  if (path.empty()) return true;
+  std::ofstream out(path);
+  out << text;
+  out.close();
+  if (!out) {
+    std::fprintf(stderr, "[out] cannot write %s\n", path.c_str());
+    return false;
+  }
+  std::fprintf(stderr, "[out] wrote %s\n", path.c_str());
+  return true;
+}
+
+bool emit(const util::text_table& table, const std::string& csv_path,
+          const std::string& json_path) {
   std::fputs(table.to_string().c_str(), stdout);
   std::fflush(stdout);
-  if (!csv_path.empty()) {
-    util::csv_writer csv(csv_path);
-    for (const auto& row : csv_rows) csv.row(row);
-    std::fprintf(stderr, "[csv] wrote %s\n", csv_path.c_str());
-  }
+  return write_file(csv_path, table.to_csv()) &&
+         write_file(json_path, table.to_json());
 }
 
 }  // namespace dbsm::bench

@@ -3,14 +3,14 @@
 // Every binary reproduces one table or figure of the paper's evaluation
 // (§4–5) with the calibrated testbed model (PIII 1 GHz × configurable
 // CPUs, 100 Mbps switched Ethernet, 9.486 MB/s RAID write ceiling) and
-// prints the same rows/series the paper reports. CSV output is optional.
+// prints the same rows/series the paper reports. CSV and JSON output are
+// optional and rendered from the same table.
 #ifndef DBSM_BENCH_COMMON_HPP
 #define DBSM_BENCH_COMMON_HPP
 
 #include <string>
 
 #include "core/experiment.hpp"
-#include "util/csv.hpp"
 #include "util/flags.hpp"
 #include "util/table.hpp"
 
@@ -42,9 +42,14 @@ std::vector<unsigned> fig5_client_points(bool quick);
 core::experiment_result run_point(core::experiment_config cfg,
                                   const std::string& label);
 
-/// Prints an aligned table and optionally appends it to a CSV file.
-void emit(const util::text_table& table, const std::string& csv_path,
-          const std::vector<std::vector<std::string>>& csv_rows);
+/// Writes `text` to `path` (nothing when the path is empty). Returns false,
+/// after a message on stderr, when the file cannot be written.
+bool write_file(const std::string& path, const std::string& text);
+
+/// Prints `table`, and writes it as CSV to `csv_path` and as a JSON
+/// baseline to `json_path` when those are set. False when a write fails.
+bool emit(const util::text_table& table, const std::string& csv_path,
+          const std::string& json_path = "");
 
 }  // namespace dbsm::bench
 

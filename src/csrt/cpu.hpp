@@ -16,7 +16,6 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <unordered_set>
 #include <vector>
 
 #include "sim/simulator.hpp"
@@ -106,7 +105,6 @@ class cpu_pool {
   std::vector<cpu_state> cpus_;
   std::deque<pending_job> real_pending_;
   std::deque<pending_job> sim_pending_;
-  std::unordered_set<job_id> cancelled_;
   job_id next_job_id_ = 1;
   util::utilization_tracker total_busy_;
   util::utilization_tracker real_busy_;

@@ -19,25 +19,18 @@ event_id simulator::schedule_after(sim_duration d, event_fn fn) {
   return schedule_at(now_ + d, std::move(fn));
 }
 
-bool simulator::cancel(event_id id) {
-  auto it = callbacks_.find(id);
-  if (it == callbacks_.end()) return false;
-  callbacks_.erase(it);
-  cancelled_.insert(id);
-  return true;
-}
+bool simulator::cancel(event_id id) { return callbacks_.erase(id) != 0; }
 
-bool simulator::pop_and_run() {
+bool simulator::pop_and_run(sim_time limit) {
   while (!heap_.empty()) {
     const entry e = heap_.top();
-    heap_.pop();
-    auto cit = cancelled_.find(e.id);
-    if (cit != cancelled_.end()) {
-      cancelled_.erase(cit);
+    auto it = callbacks_.find(e.id);
+    if (it == callbacks_.end()) {  // cancelled
+      heap_.pop();
       continue;
     }
-    auto it = callbacks_.find(e.id);
-    DBSM_CHECK(it != callbacks_.end());
+    if (e.t > limit) return false;
+    heap_.pop();
     event_fn fn = std::move(it->second);
     callbacks_.erase(it);
     DBSM_CHECK_MSG(e.t >= now_, "event queue went backwards");
@@ -60,25 +53,7 @@ std::size_t simulator::run_until(sim_time limit) {
   DBSM_CHECK(limit >= now_);
   stop_requested_ = false;
   std::size_t n = 0;
-  while (!stop_requested_) {
-    // Peek the next live event without running it.
-    bool found = false;
-    sim_time next_t = 0;
-    while (!heap_.empty()) {
-      const entry& e = heap_.top();
-      if (cancelled_.count(e.id)) {
-        cancelled_.erase(e.id);
-        heap_.pop();
-        continue;
-      }
-      next_t = e.t;
-      found = true;
-      break;
-    }
-    if (!found || next_t > limit) break;
-    pop_and_run();
-    ++n;
-  }
+  while (!stop_requested_ && pop_and_run(limit)) ++n;
   if (!stop_requested_ && now_ < limit) now_ = limit;
   return n;
 }

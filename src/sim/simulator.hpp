@@ -10,7 +10,6 @@
 #include <functional>
 #include <queue>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "util/check.hpp"
@@ -61,7 +60,7 @@ class simulator {
   /// current event finishes.
   void stop() { stop_requested_ = true; }
 
-  std::size_t pending() const { return heap_.size() - cancelled_.size(); }
+  std::size_t pending() const { return callbacks_.size(); }
   std::size_t executed() const { return executed_; }
 
  private:
@@ -76,17 +75,19 @@ class simulator {
     }
   };
 
-  /// Pops the next non-cancelled event and runs it. Pre: queue not empty
-  /// after discarding tombstones; returns false otherwise.
-  bool pop_and_run();
+  /// Runs the next live event if its time is <= `limit`, discarding the
+  /// heap entries of cancelled events (those without a callback) on the
+  /// way. Returns false when no live event is due.
+  bool pop_and_run(sim_time limit = time_never);
 
   sim_time now_ = 0;
   std::uint64_t next_seq_ = 1;
   std::size_t executed_ = 0;
   bool stop_requested_ = false;
   std::priority_queue<entry> heap_;
+  // Live events only: cancel() erases the callback and leaves the heap
+  // entry behind to be skipped when it reaches the top.
   std::unordered_map<event_id, event_fn> callbacks_;
-  std::unordered_set<event_id> cancelled_;
 };
 
 }  // namespace dbsm::sim

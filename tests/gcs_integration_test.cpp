@@ -211,7 +211,7 @@ TEST(gcs_integration, crash_during_loss_stays_consistent) {
   h.start();
   for (unsigned k = 0; k < 40; ++k) {
     h.s.schedule_at(milliseconds(10 + k * 4), [&h, k] {
-      h.send(k % 4, "m" + std::to_string(k));
+      h.send(k % 4, std::string("m") + std::to_string(k));
     });
   }
   h.s.schedule_at(milliseconds(90), [&] { h.lan->isolate(2); });
@@ -235,7 +235,7 @@ TEST(gcs_integration, deterministic_runs) {
     h.start();
     for (unsigned k = 0; k < 15; ++k) {
       h.s.schedule_at(milliseconds(10 + k), [&h, k] {
-        h.send(k % 3, "d" + std::to_string(k));
+        h.send(k % 3, std::string("d") + std::to_string(k));
       });
     }
     h.s.run_until(seconds(2));

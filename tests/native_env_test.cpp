@@ -133,7 +133,7 @@ TEST(native_env, group_total_order_over_real_sockets) {
   for (unsigned i = 0; i < n; ++i) {
     for (unsigned k = 0; k < msgs_per_node; ++k) {
       const std::string text =
-          "n" + std::to_string(i) + "m" + std::to_string(k);
+          std::string("n") + std::to_string(i) + "m" + std::to_string(k);
       auto payload = std::make_shared<util::bytes>(text.begin(), text.end());
       groups[i]->submit(payload);
     }

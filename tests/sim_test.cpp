@@ -71,6 +71,22 @@ TEST(simulator, run_until_advances_to_limit) {
   EXPECT_EQ(fired, 2);
 }
 
+TEST(simulator, run_until_skips_cancelled_events_at_the_head) {
+  simulator s;
+  int fired = 0;
+  const event_id early = s.schedule_at(10, [&] { ++fired; });
+  s.schedule_at(20, [&] { fired += 10; });
+  const event_id late = s.schedule_at(60, [&] { fired += 100; });
+  s.cancel(early);
+  s.cancel(late);
+  EXPECT_EQ(s.run_until(50), 1u);
+  EXPECT_EQ(fired, 10);
+  EXPECT_EQ(s.now(), 50);
+  EXPECT_EQ(s.pending(), 0u);
+  EXPECT_EQ(s.run_until(100), 0u);
+  EXPECT_EQ(fired, 10);
+}
+
 TEST(simulator, run_until_executes_events_at_limit) {
   simulator s;
   bool ran = false;

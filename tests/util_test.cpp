@@ -224,6 +224,76 @@ TEST(table, renders_aligned) {
   EXPECT_NE(s.find("-----"), std::string::npos);
 }
 
+/// Number, string and bool columns, one hidden from the console ("degree")
+/// and one hidden from CSV and JSON ("Note").
+text_table mixed_table() {
+  text_table t;
+  t.columns({{"Name", "name"},
+             {"tpm", "tpm"},
+             {"", "degree"},
+             {"Note", ""},
+             {"Checks", "checks_ok"}});
+  t.field("benchmark", "demo");
+  t.field("config", {{"sites", num(std::size_t{3})},
+                     {"seed", num(std::int64_t{7})}});
+  t.row({"full (write all)", num(9345.0, 0), num(std::size_t{6}), "x",
+         verdict(true)});
+  t.row({"k=2", num(12.54, 1), num(std::int64_t{2}), "longer note",
+         verdict(false, "VIOLATED")});
+  return t;
+}
+
+TEST(table, renders_console_text) {
+  EXPECT_EQ(mixed_table().to_string(),
+            "Name               tpm         Note    Checks\n"
+            "---------------------------------------------\n"
+            "full (write all)  9345            x        ok\n"
+            "k=2               12.5  longer note  VIOLATED\n");
+}
+
+TEST(table, renders_csv_with_a_key_header) {
+  EXPECT_EQ(mixed_table().to_csv(),
+            "name,tpm,degree,checks_ok\n"
+            "full (write all),9345,6,1\n"
+            "k=2,12.5,2,0\n");
+}
+
+TEST(table, renders_the_json_baseline_layout) {
+  EXPECT_EQ(mixed_table().to_json(),
+            "{\n"
+            "  \"benchmark\": \"demo\",\n"
+            "  \"config\": {\"sites\": 3, \"seed\": 7},\n"
+            "  \"points\": [\n"
+            "    {\"name\": \"full (write all)\", \"tpm\": 9345, "
+            "\"degree\": 6, \"checks_ok\": true},\n"
+            "    {\"name\": \"k=2\", \"tpm\": 12.5, \"degree\": 2, "
+            "\"checks_ok\": false}\n"
+            "  ]\n"
+            "}\n");
+}
+
+TEST(table, escapes_quotes_and_backslashes) {
+  text_table t;
+  t.columns({{"Label", "label"}});
+  t.field("note", "say \"two\"");
+  t.rows_key("scenarios");
+  t.row({"C:\\dir \"x\""});
+  EXPECT_EQ(t.to_json(),
+            "{\n"
+            "  \"note\": \"say \\\"two\\\"\",\n"
+            "  \"scenarios\": [\n"
+            "    {\"label\": \"C:\\\\dir \\\"x\\\"\"}\n"
+            "  ]\n"
+            "}\n");
+}
+
+TEST(table, header_headings_double_as_keys) {
+  text_table t;
+  t.header({"Clients", "1 CPU"});
+  t.row({"100", "2.5"});
+  EXPECT_EQ(t.to_csv(), "Clients,1 CPU\n100,2.5\n");
+}
+
 TEST(flags, parse_forms) {
   flag_set f;
   f.declare("clients", "100", "number of clients");

@@ -9,6 +9,7 @@
 // datagrams off real UDP sockets.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <functional>
 #include <string>
@@ -248,8 +249,9 @@ TEST(wire_golden, every_format_encodes_to_its_pinned_bytes) {
 
 /// `bytes` behind one leading kind byte, as the group wraps a record.
 util::shared_bytes behind_kind_byte(const util::bytes& bytes) {
-  auto out = std::make_shared<util::bytes>(1, 0x7f);
-  out->insert(out->end(), bytes.begin(), bytes.end());
+  auto out = std::make_shared<util::bytes>(bytes.size() + 1);
+  (*out)[0] = 0x7f;
+  std::copy(bytes.begin(), bytes.end(), out->begin() + 1);
   return out;
 }
 
